@@ -16,7 +16,6 @@ import numpy as np
 from scipy import stats
 
 from . import rng
-from .errors import GeometryError
 from .lattice import (
     GEN_A2,
     GEN_D2,
@@ -24,6 +23,7 @@ from .lattice import (
     build_lattice,
     check_generator,
     count_codewords_at_most,
+    kth_norm,
     nearest_point_batch,
 )
 from .sdq import dithers_at, second_moment
@@ -550,18 +550,7 @@ def minimal_enclosing_radius(shape: np.ndarray, count: int) -> tuple[float, int]
     Returns (r, points_at_radius): ties at the threshold radius are all
     included, so points_at_radius can exceed count.
     """
-    shape = check_generator(shape)
-    dim = shape.shape[0]
-    guess = (count * abs(np.linalg.det(shape)) / 2.0) ** (1.0 / dim) + 1.0
-    for _ in range(20):
-        lat = build_lattice(shape, guess, enum_cap=10**7)
-        if lat.size >= count:
-            norms = np.sort(np.linalg.norm(lat.codebook, axis=1))
-            r = float(norms[count - 1])
-            at_most = int(np.count_nonzero(norms <= r * (1.0 + 1e-12)))
-            return r, at_most
-        guess *= 2.0
-    raise GeometryError("could not enclose the requested point count")
+    return kth_norm(shape, count)
 
 
 def check_gamma_scaling(

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .fl import QUANTIZER_KINDS
+from .fl import FIXED_GENERATORS, QUANTIZER_KINDS
 from .learning import LOSS_KINDS
 from .models import MODEL_KINDS, ModelArch
 
@@ -142,6 +142,8 @@ class ExperimentConfig:
             bad("adapt_every", f"must be >= 1, got {self.adapt_every}")
         if self.quantizer not in QUANTIZER_KINDS:
             bad("quantizer", f"must be one of {QUANTIZER_KINDS}, got {self.quantizer!r}")
+        if self.quantizer in FIXED_GENERATORS and self.lattice_dim != 2:
+            bad("L", f"quantizer={self.quantizer} is a 2-D lattice, got L={self.lattice_dim}")
         if self.loss_kind not in LOSS_KINDS:
             bad("loss_kind", f"must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if not self.model_lr > 0:
@@ -160,8 +162,8 @@ class ExperimentConfig:
             bad("heuristic_target", f"must be in [0, 1), got {self.heuristic_target}")
         if not self.heuristic_filter_sigma > 0:
             bad("heuristic_filter_sigma", f"must be positive, got {self.heuristic_filter_sigma}")
-        if self.n_classes < 2:
-            bad("n_classes", f"must be >= 2, got {self.n_classes}")
+        if self.n_classes < 3:
+            bad("n_classes", f"must be >= 3 for the class-window partition, got {self.n_classes}")
         if self.dataset == "idx":
             for key in ("train_images", "train_labels", "test_images", "test_labels"):
                 if not getattr(self, key):

@@ -34,10 +34,10 @@ from .learning import (
     LearnedLattice,
     LearnerConfig,
     PriorNet,
+    _fit_emit_scale,
     init_prior_net,
     normalize_generator,
     online_lattice_learning,
-    overload_heuristic_minus1,
 )
 from .models import ModelArch, accuracy, init_params, loss_and_grad, make_objective
 from .sdq import (
@@ -45,7 +45,6 @@ from .sdq import (
     SdqCodec,
     decode_blocks,
     encode_blocks,
-    fit_scale,
     recombine,
     split_vector,
 )
@@ -238,12 +237,7 @@ def client_round(client: ClientState, w_global: np.ndarray, t: int, cfg) -> Payl
     blocks, pad = split_vector(h, cfg.lattice_dim)
     n_blocks = blocks.shape[0]
     probe = DitherStream(rng.derive_seed(client.seed_root, t, rng.TAG_PROBE_DITHER), gen)
-    if cfg.overload_mode == "heuristic_minus1":
-        zeta = overload_heuristic_minus1(
-            blocks, lat, probe, cfg.heuristic_target, cfg.heuristic_filter_sigma
-        )
-    else:
-        zeta = fit_scale(blocks, lat, probe, cfg.target_overload)
+    zeta = _fit_emit_scale(blocks, lat, cfg, probe)
 
     codec = SdqCodec(
         lattice=lat,
@@ -338,10 +332,6 @@ def _build_dataset(cfg) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def _client_task(client: ClientState, w_global: np.ndarray, t: int, cfg) -> Payload:
-    return client_round(client, w_global, t, cfg)
-
-
 def run_fl(cfg) -> FlResult:
     """Execute the full experiment described by cfg; see config.py for knobs."""
     cfg.validate()
@@ -402,7 +392,7 @@ def run_fl(cfg) -> FlResult:
         for t in range(cfg.rounds):
             if pool is not None:
                 payloads = list(
-                    pool.map(_client_task, clients, [w] * len(clients),
+                    pool.map(client_round, clients, [w] * len(clients),
                              [t] * len(clients), [cfg] * len(clients))
                 )
                 # Parallel workers mutate copies; carry learner state back.

@@ -58,8 +58,8 @@ def _lex_block(block_ids: np.ndarray, side: int, dim: int, bound: int) -> np.nda
 
 
 def _full_grid(side: int, dim: int) -> np.ndarray:
-    """Whole lexicographic grid for small boxes, cached: the bisection
-    loops in normalization re-count the same box sizes many times."""
+    """Whole lexicographic grid for small boxes, cached: every learner step
+    enumerates boxes of the same few sizes."""
     key = (side, dim)
     grid = _grid_cache.get(key)
     if grid is None:
@@ -67,12 +67,6 @@ def _full_grid(side: int, dim: int) -> np.ndarray:
         if side**dim <= _GRID_CACHE_MAX:
             _grid_cache[key] = grid
     return grid
-
-
-def _search_bound(gen: np.ndarray, gamma: float) -> int:
-    inv = np.linalg.inv(gen)
-    row_norms = np.linalg.norm(inv, axis=1)
-    return int(math.ceil(gamma * float(row_norms.max())))
 
 
 @dataclass(frozen=True)
@@ -97,20 +91,19 @@ class TruncatedLattice:
         return self.codebook.shape[0]
 
 
-def build_lattice(
-    gen: np.ndarray, gamma: float, enum_cap: int = _ENUM_CAP_DEFAULT
-) -> TruncatedLattice:
-    """Enumerate the codebook of lattice points within radius gamma.
+def _points_within(
+    gen: np.ndarray, radius: float, enum_cap: int = _ENUM_CAP_DEFAULT
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient vectors l with ||gen @ l|| <= radius, in lexicographic
+    order, and their squared norms.
 
-    The integer search box comes from the inverse matrix's row norms:
-    any point G@l with ||G@l|| <= gamma has ||l||_inf bounded by
-    ceil(gamma * max_i ||row_i(G^-1)||).
+    The integer search box comes from the inverse matrix's row norms: any
+    point gen@l with ||gen@l|| <= radius has ||l||_inf bounded by
+    ceil(radius * max_i ||row_i(gen^-1)||).  A box of more than enum_cap
+    candidates raises ResourceLimitError.
     """
-    gen = check_generator(gen)
-    if not (gamma > 0):
-        raise GeometryError(f"support radius must be positive, got {gamma}")
     dim = gen.shape[0]
-    bound = _search_bound(gen, gamma)
+    bound = int(math.ceil(radius * float(np.linalg.norm(np.linalg.inv(gen), axis=1).max())))
     side = 2 * bound + 1
     total = side**dim
     if total > enum_cap:
@@ -118,59 +111,78 @@ def build_lattice(
             f"lattice enumeration box has {total} candidates (cap {enum_cap})"
         )
     gen_t = gen.T
-    if total <= _ENUM_CHUNK:
-        ls = _full_grid(side, dim)
+    kept_ls: list[np.ndarray] = []
+    kept_sq: list[np.ndarray] = []
+    for start in range(0, total, _ENUM_CHUNK):
+        if total <= _ENUM_CHUNK:
+            ls = _full_grid(side, dim)
+        else:
+            ls = _lex_block(np.arange(start, min(start + _ENUM_CHUNK, total)), side, dim, bound)
         pts = ls @ gen_t
-        index_set = ls[np.einsum("ij,ij->i", pts, pts) <= gamma * gamma]
-    else:
-        kept: list[np.ndarray] = []
-        for start in range(0, total, _ENUM_CHUNK):
-            ids = np.arange(start, min(start + _ENUM_CHUNK, total))
-            ls = _lex_block(ids, side, dim, bound)
-            pts = ls @ gen_t
-            ok = np.einsum("ij,ij->i", pts, pts) <= gamma * gamma
-            if ok.any():
-                kept.append(ls[ok])
-        index_set = (
-            np.concatenate(kept, axis=0) if kept else np.empty((0, dim), dtype=np.int64)
-        )
+        sq = np.einsum("ij,ij->i", pts, pts)
+        ok = sq <= radius * radius
+        kept_ls.append(ls[ok])
+        kept_sq.append(sq[ok])
+    return np.concatenate(kept_ls), np.concatenate(kept_sq)
+
+
+def build_lattice(
+    gen: np.ndarray, gamma: float, enum_cap: int = _ENUM_CAP_DEFAULT
+) -> TruncatedLattice:
+    """Enumerate the codebook of lattice points within radius gamma."""
+    gen = check_generator(gen)
+    if not (gamma > 0):
+        raise GeometryError(f"support radius must be positive, got {gamma}")
+    index_set, _ = _points_within(gen, gamma, enum_cap)
     if index_set.shape[0] == 0:
         raise GeometryError("empty codebook: no lattice point within the support radius")
     return TruncatedLattice(
-        gen=gen, gamma=float(gamma), index_set=index_set, codebook=index_set @ gen_t
+        gen=gen, gamma=float(gamma), index_set=index_set, codebook=index_set @ gen.T
     )
 
 
 def count_codewords_at_most(
     gen: np.ndarray, gamma: float, limit: int, enum_cap: int = _ENUM_CAP_DEFAULT
 ) -> int:
-    """Count codewords within gamma, bailing out at limit+1.
+    """Count codewords within gamma, capped at limit+1.
 
     Returns min(true count, limit+1).  A search box larger than enum_cap is
     reported as limit+1: boxes that size only arise from lattices far too
     fine to satisfy any small codebook budget.
     """
-    gen = check_generator(gen)
-    dim = gen.shape[0]
-    bound = _search_bound(gen, gamma)
-    side = 2 * bound + 1
-    total = side**dim
-    if total > enum_cap:
+    try:
+        _, sq = _points_within(check_generator(gen), gamma, enum_cap)
+    except ResourceLimitError:
         return limit + 1
-    gen_t = gen.T
-    if total <= _ENUM_CHUNK:
-        pts = _full_grid(side, dim) @ gen_t
-        count = int(np.count_nonzero(np.einsum("ij,ij->i", pts, pts) <= gamma * gamma))
-        return min(count, limit + 1)
-    count = 0
-    for start in range(0, total, _ENUM_CHUNK):
-        ids = np.arange(start, min(start + _ENUM_CHUNK, total))
-        ls = _lex_block(ids, side, dim, bound)
-        pts = ls @ gen_t
-        count += int(np.count_nonzero(np.einsum("ij,ij->i", pts, pts) <= gamma * gamma))
-        if count > limit:
-            return limit + 1
-    return count
+    return min(sq.size, limit + 1)
+
+
+def kth_norm(gen: np.ndarray, k: int) -> tuple[float, int]:
+    """The k-th smallest norm r over the lattice points, and the number of
+    points with norm at most r.
+
+    Points are counted with multiplicity, the origin first, so the count can
+    exceed k when norms tie at r; a norm within a relative 1e-12 of r counts
+    as tied.  The search starts at the radius whose ball holds k fundamental
+    cells by volume and grows until k points, and every point tied with the
+    k-th, lie inside; ResourceLimitError if the box outgrows the
+    enumeration cap first.
+    """
+    gen = check_generator(gen)
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    dim = gen.shape[0]
+    ball = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    radius = (k * abs(float(np.linalg.det(gen))) / ball) ** (1.0 / dim)
+    while True:
+        _, sq = _points_within(gen, radius)
+        if sq.size >= k:
+            norms = np.sqrt(sq)
+            r = float(np.partition(norms, k - 1)[k - 1])
+            tied = r * (1.0 + 1e-12)
+            if tied <= radius:
+                return r, int(np.count_nonzero(norms <= tied))
+        radius *= 1.25
 
 
 def _offset_cube(dim: int) -> np.ndarray:

@@ -34,16 +34,17 @@ from .errors import GeometryError, NumericError, ResourceLimitError
 from .lattice import (
     GEN_HEXAGONAL,
     TruncatedLattice,
-    _full_grid,
     build_lattice,
     check_generator,
     count_codewords_at_most,
+    kth_norm,
     quantize_batch,
 )
 from .rng import derive_seed, stream_unit_block
 from .sdq import (
     DitherStream,
     SdqCodec,
+    _fit_scale_pinned,
     dithers_at,
     fit_scale,
     fold_dithers,
@@ -179,79 +180,29 @@ def codeword_budget(lattice_dim: int, rate: float) -> int:
     return budget
 
 
-def normalize_scale(
-    raw: np.ndarray,
-    rate: float,
-    gamma: float = 1.0,
-    iterations: int = 60,
-    bracket: tuple[float, float] = (1e-6, 1e6),
-    enum_cap: int = 10**7,
-) -> float:
+def normalize_scale(raw: np.ndarray, rate: float, gamma: float = 1.0) -> float:
     """Smallest c such that c*raw has at most 2^(L*R) codewords within gamma.
 
-    The codeword count is monotone nonincreasing in c, so log-space
-    bisection over the bracket is valid.  Counting ||c*raw l|| <= gamma is
-    equivalent to thresholding the raw lattice's norms at gamma/c, which
-    lets one box enumeration serve every bisection step with that box size.
+    A point raw@l is a codeword of c*raw when ||raw@l|| <= gamma/c, so the
+    count first fits the budget just above c = gamma / r, with r the
+    (budget+1)-th smallest norm of the raw lattice (kth_norm).  Where
+    rounding leaves that c on the boundary, it steps up one ulp at a time
+    until count_codewords_at_most agrees.  A raw lattice so fine that r
+    needs a search box beyond the enumeration cap raises ResourceLimitError.
     """
     raw = check_generator(raw)
-    dim = raw.shape[0]
-    budget = codeword_budget(dim, rate)
-    inv_max = float(np.linalg.norm(np.linalg.inv(raw), axis=1).max())
-    raw_t = raw.T
-    sorted_sq: dict[int, np.ndarray] = {}
-
-    sub_bound_cap = max((int(16384 ** (1.0 / dim)) - 1) // 2, 1)
-
-    def sub_count(bound: int, threshold_sq: float) -> int:
-        norms = sorted_sq.get(bound)
-        if norms is None:
-            pts = _full_grid(2 * bound + 1, dim) @ raw_t
-            norms = np.sort(np.einsum("ij,ij->i", pts, pts))
-            sorted_sq[bound] = norms
-        return int(np.searchsorted(norms, threshold_sq, side="right"))
-
-    def count_at_most(c: float) -> int:
-        bound = int(math.ceil(gamma * inv_max / c))
-        if (2 * bound + 1) ** dim > enum_cap:
-            return budget + 1
-        threshold_sq = (gamma / c) ** 2
-        small = min(bound, sub_bound_cap)
-        cnt = sub_count(small, threshold_sq)
-        if cnt > budget or small == bound:
-            return min(cnt, budget + 1)
-        # Sub-box was inconclusive for a larger search box (rare, near the
-        # feasibility boundary): fall back to the exact early-exit counter.
-        return count_codewords_at_most(c * raw, gamma, budget, enum_cap)
-
-    lo, hi = math.log(bracket[0]), math.log(bracket[1])
-    if count_at_most(math.exp(hi)) > budget:
-        raise GeometryError(
-            "generator cannot be scaled to meet the codeword budget within the bracket"
-        )
-    if count_at_most(math.exp(lo)) <= budget:
-        return bracket[0]
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if count_at_most(math.exp(mid)) <= budget:
-            hi = mid
-        else:
-            lo = mid
-    return float(math.exp(hi))
+    budget = codeword_budget(raw.shape[0], rate)
+    c = gamma / kth_norm(raw, budget + 1)[0]
+    while count_codewords_at_most(c * raw, gamma, budget) > budget:
+        c = math.nextafter(c, math.inf)
+    return c
 
 
 def normalize_generator(raw: np.ndarray, rate: float, gamma: float = 1.0) -> np.ndarray:
-    """Scale the raw matrix to respect the 2^(L*R) codeword ceiling."""
+    """raw scaled by normalize_scale, the smallest scale that respects the
+    2^(L*R) codeword ceiling."""
     raw = check_generator(raw)
-    budget = codeword_budget(raw.shape[0], rate)
-    c = normalize_scale(raw, rate, gamma)
-    # Guard the boundary: the fast bisection predicate and the reference
-    # count can disagree by one point exactly at the radius.
-    for _ in range(4):
-        if count_codewords_at_most(c * raw, gamma, budget) <= budget:
-            break
-        c *= 1.0 + 1e-12
-    return c * raw
+    return normalize_scale(raw, rate, gamma) * raw
 
 
 @dataclass
@@ -469,15 +420,21 @@ def overload_heuristic_minus1(
     return fit_scale(_heuristic_survivors(blocks, filter_sigma), lat, dither_probe, target)
 
 
-def _scale_fit_set(blocks: np.ndarray, cfg: LearnerConfig) -> tuple[np.ndarray, float]:
+def _scale_fit_set(blocks: np.ndarray, cfg) -> tuple[np.ndarray, float]:
     """Subvectors and overload target of the scale fit at the configured
-    operating point (the heuristic needs at least 10 subvectors)."""
+    operating point (the heuristic needs at least 10 subvectors).
+
+    cfg is a LearnerConfig or any config with its overload_mode,
+    target_overload, heuristic_target and heuristic_filter_sigma fields:
+    client_round passes the experiment config, so the learner and the
+    transmitting client fit zeta the same way.
+    """
     if cfg.overload_mode == "heuristic_minus1" and blocks.shape[0] >= 10:
         return _heuristic_survivors(blocks, cfg.heuristic_filter_sigma), cfg.heuristic_target
     return blocks, cfg.target_overload
 
 
-def _fit_emit_scale(blocks, lat, cfg: LearnerConfig, probe: DitherStream) -> float:
+def _fit_emit_scale(blocks, lat, cfg, probe: DitherStream) -> float:
     """Scale fit at the configured operating point; training batches use the
     same mode so the loss reflects how the lattice will actually be run."""
     fit_blocks, target = _scale_fit_set(blocks, cfg)
@@ -531,28 +488,23 @@ _PIN_TOL = 1e-9
 def _pinned_scale(blocks, lat: TruncatedLattice, cfg: LearnerConfig):
     """The safeguard's input scale zeta and d zeta / d gen.
 
-    fit_scale stops where one probe block's overload condition
-    ||zeta x + d|| = gamma switches, so zeta is a root of that block's
-    quadratic zeta^2 ||x||^2 + 2 zeta <x, d> + ||d||^2 = gamma^2, and
-    implicit differentiation with d = gen @ (u - fold) gives the
+    zeta is the overload root of one probe block (see fit_scale): a root of
+    that block's quadratic zeta^2 ||x||^2 + 2 zeta <x, d> + ||d||^2 =
+    gamma^2, so implicit differentiation with d = gen @ (u - fold) gives the
     derivative.  A scale pinned by no block (the infeasible-scale floor,
-    the bracket ceiling, all-zero data) does not move with gen.
+    the ceiling, all-zero data) does not move with gen.
     """
     gen = lat.gen
     fit_blocks, target = _scale_fit_set(blocks, cfg)
     seed = derive_seed(cfg.seed, _TAG_MEASURE_PROBE)
-    zeta = fit_scale(fit_blocks, lat, DitherStream(seed, gen), target)
     u = _stream_coords(seed, fit_blocks.shape[0], gen.shape[0])
     d, fold = fold_dithers(u, gen)
-    y = zeta * fit_blocks + d
-    slope = np.einsum("ij,ij->i", fit_blocks, y)  # half of d||y||^2 / d zeta
-    miss = np.abs(np.einsum("ij,ij->i", y, y) - lat.gamma * lat.gamma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(slope != 0.0, miss / np.abs(2.0 * zeta * slope), np.inf)
-    p = int(np.argmin(rel))
-    if not rel[p] <= _PIN_TOL:
+    zeta, p = _fit_scale_pinned(fit_blocks, lat.gamma, d, target)
+    if p < 0:
         return zeta, np.zeros_like(gen)
-    return zeta, -np.outer(y[p], u[p] - fold[p]) / slope[p]
+    y = zeta * fit_blocks[p] + d[p]
+    slope = float(fit_blocks[p] @ y)  # half of d||y||^2 / d zeta
+    return zeta, -np.outer(y, u[p] - fold[p]) / slope
 
 
 def _budget_shell(gen: np.ndarray, gamma: float) -> np.ndarray:

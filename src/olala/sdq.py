@@ -9,6 +9,7 @@ a small metadata block cross the wire.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,6 +18,9 @@ import numpy as np
 from . import rng
 from .errors import GeometryError, ProtocolError
 from .lattice import TruncatedLattice, check_generator, nearest_point_batch, quantize_batch
+
+_SCALE_FLOOR = 1e-9
+_SCALE_CEIL = 1e9
 
 
 class DitherStream:
@@ -170,34 +174,46 @@ def fit_scale(
     lat: TruncatedLattice,
     dither_probe: DitherStream,
     target_overload: float,
-    iterations: int = 50,
-    bracket: tuple[float, float] = (1e-9, 1e9),
 ) -> float:
     """Largest input scale keeping the probe overload fraction within target.
 
-    Bisects log-zeta over the bracket; a subvector overloads when
-    ||zeta*x + d|| exceeds the support radius.  Probe dithers come from the
+    A subvector x with probe dither d overloads when ||zeta*x + d|| exceeds
+    the support radius gamma, which for zeta > 0 happens exactly above the
+    positive root of zeta^2 ||x||^2 + 2 zeta <x, d> + ||d||^2 = gamma^2.
+    A subvector whose dither alone overloads (||d|| > gamma) counts as
+    overloading at every scale (root 0); any other all-zero subvector never
+    overloads (root +inf).  With k the largest overload count whose
+    fraction meets the target, the answer is the (k+1)-th smallest root,
+    clamped to [1e-9, 1e9] and stepped down by an ulp or two where rounding
+    leaves its block just outside the radius.  Probe dithers come from the
     dedicated stream passed in, leaving transmission streams untouched.
     """
-    if not (0 <= target_overload < 1):
-        raise ValueError(f"target_overload must be in [0, 1), got {target_overload}")
     blocks = np.asarray(subvectors, dtype=np.float64)
     if blocks.ndim != 2 or blocks.shape[0] < 1 or blocks.shape[1] != lat.dim:
         raise ValueError(f"expected (M, {lat.dim}) subvectors, got {blocks.shape}")
-    if not np.any(blocks):
-        warnings.warn("all-zero subvectors: scale fit defaulting to 1.0", stacklevel=2)
-        return 1.0
     d = dither_probe.draw(blocks.shape[0])
-    gamma_sq = lat.gamma * lat.gamma
-    # ||zeta x + d||^2 = zeta^2 ||x||^2 + 2 zeta <x, d> + ||d||^2: precompute
-    # the coefficients once so each bisection step is three vector ops.
+    return _fit_scale_pinned(blocks, lat.gamma, d, target_overload)[0]
+
+
+def _fit_scale_pinned(
+    blocks: np.ndarray, gamma: float, d: np.ndarray, target_overload: float
+) -> tuple[float, int]:
+    """fit_scale under the probe dithers d, and the index of the block whose
+    overload root the scale is (-1 when no block pins it: all-zero blocks,
+    the floor, the ceiling)."""
+    if not (0 <= target_overload < 1):
+        raise ValueError(f"target_overload must be in [0, 1), got {target_overload}")
+    if not np.any(blocks):
+        warnings.warn("all-zero subvectors: scale fit defaulting to 1.0", stacklevel=3)
+        return 1.0, -1
+    gamma_sq = gamma * gamma
     xx = np.einsum("ij,ij->i", blocks, blocks)
     xd = np.einsum("ij,ij->i", blocks, d)
     dd = np.einsum("ij,ij->i", d, d)
 
     # The overload fraction k/n meets the target exactly when the count k
     # does not exceed the largest k whose fraction, formed as np.mean forms
-    # it, meets it; counting is cheaper than averaging.
+    # it, meets it.
     n = blocks.shape[0]
     allowed = min(int(target_overload * n), n)
     while allowed < n and (allowed + 1) / n <= target_overload:
@@ -205,20 +221,31 @@ def fit_scale(
     while allowed > 0 and allowed / n > target_overload:
         allowed -= 1
 
-    def overloads(zeta: float) -> int:
-        return int(np.count_nonzero(zeta * zeta * xx + 2.0 * zeta * xd + dd > gamma_sq))
+    # Positive root of xx z^2 + 2 xd z - (gamma^2 - dd) = 0, in the form
+    # that avoids cancellation for either sign of xd.
+    slack = gamma_sq - dd
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.sqrt(xd * xd + xx * slack)
+        roots = np.where(xd > 0, slack / (xd + disc), (disc - xd) / xx)
+    roots[xx == 0] = np.inf
+    roots[slack < 0] = 0.0
+    p = int(np.argpartition(roots, allowed)[allowed])
+    zeta = min(max(float(roots[p]), _SCALE_FLOOR), _SCALE_CEIL)
+    if zeta != roots[p]:
+        p = -1
 
-    lo, hi = (np.log(bracket[0]), np.log(bracket[1]))
-    if overloads(float(np.exp(lo))) > allowed:
-        warnings.warn(
-            "no feasible scale meets the overload target; returning bracket floor",
-            stacklevel=2,
-        )
-        return float(np.exp(lo))
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if overloads(float(np.exp(mid))) <= allowed:
-            lo = mid
-        else:
-            hi = mid
-    return float(np.exp(lo))
+    def overloads(z: float) -> int:
+        y = z * blocks + d
+        return int(np.count_nonzero(np.einsum("ij,ij->i", y, y) > gamma_sq))
+
+    # Counted the way the codec measures overload: at the root itself,
+    # rounding can put the pinning block an ulp outside the radius.
+    while overloads(zeta) > allowed:
+        if zeta <= _SCALE_FLOOR:
+            warnings.warn(
+                "no feasible scale meets the overload target; returning bracket floor",
+                stacklevel=3,
+            )
+            return _SCALE_FLOOR, -1
+        zeta = math.nextafter(zeta, 0.0)
+    return zeta, p

@@ -56,6 +56,20 @@ def test_validation_names_offending_key():
         parse_config(None, ["rounds=many"])
 
 
+def test_validation_rejects_fixed_quantizer_off_2d():
+    # The stock fixed generators are 2-D; other L used to die mid-run.
+    with pytest.raises(ConfigError, match="^L"):
+        parse_config(None, ["quantizer=fixed_hex", "L=3"])
+    assert parse_config(None, ["quantizer=olala", "L=3"]).lattice_dim == 3
+
+
+def test_validation_rejects_fewer_than_three_classes():
+    # The class-window partition needs three classes; two used to die mid-run.
+    with pytest.raises(ConfigError, match="^n_classes"):
+        parse_config(None, ["n_classes=2"])
+    assert parse_config(None, ["n_classes=3"]).n_classes == 3
+
+
 def test_lattice_lr_auto():
     cfg = parse_config(None, ["lattice_lr=auto"])
     assert cfg.lattice_lr is None

@@ -220,6 +220,17 @@ def test_run_fl_zero_rounds():
     assert np.array_equal(res.params, w0)
 
 
+def test_run_fl_heuristic_scale_fit_with_few_blocks():
+    # A linear model on 2 features and 3 classes has 9 weights, 5 blocks at
+    # L=2: too few for the heuristic, so the client falls back to the plain
+    # fit exactly as the learner does.
+    cfg = _small_cfg(overload_mode="heuristic_minus1", synthetic_features=2, n_classes=3,
+                     rounds=2)
+    res = run_fl(cfg)
+    assert len(res.records) == 2
+    assert all(p.zeta > 0 for rec in res.records for p in rec.payloads)
+
+
 def test_run_fl_determinism_and_parallel_equivalence(tmp_path):
     cfg = _small_cfg(quantizer="olala", rounds=2, n_users=3)
     r1 = run_fl(cfg)
