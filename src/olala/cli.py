@@ -108,6 +108,13 @@ def _do_sweep(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
         for quantizer in cfg.sweep_quantizers()
         for rate in cfg.sweep_rates()
     ]
+    # An entry the grid makes invalid (say fixed_hex at L=3) fails before any runs.
+    for _, quantizer, rate in tasks:
+        try:
+            replace(cfg, quantizer=quantizer, rate=rate).validate()
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
     if cfg.parallel > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.parallel, len(tasks))) as pool:
             rows = list(pool.map(_sweep_entry, tasks))

@@ -119,6 +119,20 @@ def test_cli_sweep_parallel_matches_serial(tmp_path):
     assert (o1 / "sweep.csv").read_bytes() == (o2 / "sweep.csv").read_bytes()
 
 
+def test_cli_sweep_rejects_invalid_entry_before_running(tmp_path, monkeypatch, capsys):
+    import olala.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_fl", lambda cfg: calls.append(cfg))
+    out = tmp_path / "sw"
+    code = cli.main(["sweep", "--set", "L=3", "--set", "quantizers=olala,fixed_hex",
+                     "--set", "rates=2", "--set", "rounds=1", "--out", str(out)])
+    assert code == 2
+    assert "config error: L: quantizer=fixed_hex" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+    assert calls == []
+
+
 def test_cli_config_error_exit_code():
     r = run_cli(["run", "--config", "/definitely/not/here"])
     assert r.returncode == 2
