@@ -7,10 +7,10 @@ at most gamma yields the finite codebook used by the codec.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +24,10 @@ GEN_A2 = np.array([[math.sqrt(2.0), 0.0], [-0.7071, 1.2247]])
 
 _ENUM_CAP_DEFAULT = 10**7
 _ENUM_CHUNK = 1 << 18
+# Scores (rows x candidates) per chunk of the offset-cube search and the
+# codebook scan: 2^14 to 2^18 time alike, while chunks of 2^18 rows took 2.3
+# times as long and 90 times the memory on 100k rows at L=4.
+_SCORE_CHUNK = 1 << 16
 _GRID_CACHE_MAX = 1 << 14
 
 # quantize_batch looks indices up once the codebook holds more than this many
@@ -43,7 +47,6 @@ _TIE_REL = 1e-9
 # Relative slack on the certificate's bound for the rounding of G^-1.
 _CERT_SLACK = 1e-9
 
-_offset_cube_cache: dict[int, np.ndarray] = {}
 _grid_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
@@ -76,8 +79,8 @@ def _lex_block(block_ids: np.ndarray, side: int, dim: int, bound: int) -> np.nda
 
 
 def _full_grid(side: int, dim: int) -> np.ndarray:
-    """Whole lexicographic grid for small boxes, cached: every learner step
-    enumerates boxes of the same few sizes."""
+    """Whole lexicographic grid for small boxes (the offset cube is side 5),
+    cached: every learner step enumerates boxes of the same few sizes."""
     key = (side, dim)
     grid = _grid_cache.get(key)
     if grid is None:
@@ -87,34 +90,19 @@ def _full_grid(side: int, dim: int) -> np.ndarray:
     return grid
 
 
-class IndexLookup(NamedTuple):
-    """Map from lattice points to codebook indices.
-
-    ids are the sorted flat mixed-radix ids of the codewords' coefficient
-    vectors inside the box [-bound, bound]^L; index[k] is the codebook index
-    of ids[k], or None when the two orders agree.
-    """
-
-    inv: np.ndarray
-    bound: int
-    ids: np.ndarray
-    index: np.ndarray | None
-
-
 @dataclass(frozen=True)
 class TruncatedLattice:
     """Finite codebook: all lattice points with norm <= gamma.
 
     index_set holds the integer coefficient vectors in lexicographic order;
-    codebook[i] == gen @ index_set[i].  lookup caches what quantize_batch
-    needs to map lattice points to indices; it is derived on first use.
+    codebook[i] == gen @ index_set[i].  inv and lookup are derived once, on
+    first use.
     """
 
     gen: np.ndarray
     gamma: float
     index_set: np.ndarray = field(repr=False)
     codebook: np.ndarray = field(repr=False)
-    lookup: IndexLookup | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -124,12 +112,30 @@ class TruncatedLattice:
     def size(self) -> int:
         return self.codebook.shape[0]
 
+    @functools.cached_property
+    def inv(self) -> np.ndarray:
+        return np.linalg.inv(self.gen)
+
+    @functools.cached_property
+    def lookup(self) -> tuple[int, np.ndarray, np.ndarray | None]:
+        """(bound, ids, index), which map lattice points to codebook indices:
+        ids are the sorted flat mixed-radix ids of the codewords' coefficient
+        vectors inside the box [-bound, bound]^L; index[k] is the codebook
+        index of ids[k], or None when the two orders agree."""
+        bound = int(np.abs(self.index_set).max())
+        ids = _box_ids(self.index_set, bound)
+        index = None
+        if np.any(ids[1:] <= ids[:-1]):  # not lexicographic, as build_lattice's is
+            index = np.argsort(ids, kind="stable")
+            ids = ids[index]
+        return bound, ids, index
+
 
 def _points_within(
-    gen: np.ndarray, radius: float, enum_cap: int = _ENUM_CAP_DEFAULT
+    gen: np.ndarray, inv: np.ndarray, radius: float, enum_cap: int = _ENUM_CAP_DEFAULT
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient vectors l with ||gen @ l|| <= radius, in lexicographic
-    order, and their squared norms.
+    order, and their squared norms.  inv is gen^-1.
 
     The integer search box comes from the inverse matrix's row norms: any
     point gen@l with ||gen@l|| <= radius has ||l||_inf bounded by
@@ -137,7 +143,7 @@ def _points_within(
     candidates raises ResourceLimitError.
     """
     dim = gen.shape[0]
-    bound = int(math.ceil(radius * float(np.linalg.norm(np.linalg.inv(gen), axis=1).max())))
+    bound = int(math.ceil(radius * float(np.linalg.norm(inv, axis=1).max())))
     side = 2 * bound + 1
     total = side**dim
     if total > enum_cap:
@@ -167,25 +173,22 @@ def build_lattice(
     gen = check_generator(gen)
     if not (gamma > 0):
         raise GeometryError(f"support radius must be positive, got {gamma}")
-    index_set, _ = _points_within(gen, gamma, enum_cap)
-    if index_set.shape[0] == 0:
-        raise GeometryError("empty codebook: no lattice point within the support radius")
-    return TruncatedLattice(
+    return _build(gen, gamma, gamma, enum_cap)[0]
+
+
+def _build(gen: np.ndarray, gamma: float, outer: float, enum_cap: int = _ENUM_CAP_DEFAULT):
+    """The codebook of a validated generator within gamma and, from the same
+    enumeration at radius outer >= gamma, the lexicographic coefficient
+    vectors of the points with gamma < norm <= outer."""
+    inv = np.linalg.inv(gen)
+    ls, sq = _points_within(gen, inv, outer, enum_cap)
+    inside = sq <= gamma * gamma
+    index_set = ls[inside]
+    lat = TruncatedLattice(
         gen=gen, gamma=float(gamma), index_set=index_set, codebook=index_set @ gen.T
     )
-
-
-def _index_lookup(lat: TruncatedLattice) -> IndexLookup:
-    """The lattice's lookup, derived on first use and kept on the lattice."""
-    if lat.lookup is None:
-        bound = int(np.abs(lat.index_set).max())
-        ids = _box_ids(lat.index_set, bound)
-        index = None
-        if np.any(ids[1:] <= ids[:-1]):  # not lexicographic, as build_lattice's is
-            index = np.argsort(ids, kind="stable")
-            ids = ids[index]
-        object.__setattr__(lat, "lookup", IndexLookup(np.linalg.inv(lat.gen), bound, ids, index))
-    return lat.lookup
+    object.__setattr__(lat, "inv", inv)  # keep the box's inverse as lat.inv
+    return lat, ls[~inside]
 
 
 def _box_ids(ls: np.ndarray, bound: int) -> np.ndarray:
@@ -203,8 +206,9 @@ def count_codewords_at_most(
     reported as limit+1: boxes that size only arise from lattices far too
     fine to satisfy any small codebook budget.
     """
+    gen = check_generator(gen)
     try:
-        _, sq = _points_within(check_generator(gen), gamma, enum_cap)
+        _, sq = _points_within(gen, np.linalg.inv(gen), gamma, enum_cap)
     except ResourceLimitError:
         return limit + 1
     return min(sq.size, limit + 1)
@@ -222,29 +226,26 @@ def kth_norm(gen: np.ndarray, k: int) -> tuple[float, int]:
     enumeration cap first.
     """
     gen = check_generator(gen)
+    return _kth_norm_points(gen, np.linalg.inv(gen), k)[:2]
+
+
+def _kth_norm_points(gen: np.ndarray, inv: np.ndarray, k: int):
+    """kth_norm of a validated generator, and the coefficient vectors of
+    its last enumeration: all points of norm <= r (1 + 1e-12), and more."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     dim = gen.shape[0]
     ball = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
     radius = (k * abs(float(np.linalg.det(gen))) / ball) ** (1.0 / dim)
     while True:
-        _, sq = _points_within(gen, radius)
+        ls, sq = _points_within(gen, inv, radius)
         if sq.size >= k:
             norms = np.sqrt(sq)
             r = float(np.partition(norms, k - 1)[k - 1])
             tied = r * (1.0 + 1e-12)
             if tied <= radius:
-                return r, int(np.count_nonzero(norms <= tied))
+                return r, int(np.count_nonzero(norms <= tied)), ls
         radius *= 1.25
-
-
-def _offset_cube(dim: int) -> np.ndarray:
-    """All integer offsets in {-2..2}^dim, lexicographic order."""
-    cube = _offset_cube_cache.get(dim)
-    if cube is None:
-        cube = _lex_block(np.arange(5**dim), 5, dim, 2)
-        _offset_cube_cache[dim] = cube
-    return cube
 
 
 def nearest_point(gen: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -291,7 +292,7 @@ def _cube_search(
     nearest point with a squared-distance margin tau = _TIE_REL
     (||x|| + d)^2.
     """
-    cube = _offset_cube(gen.shape[0])
+    cube = _full_grid(5, gen.shape[0])
     cand = cube @ gen.T  # (K, L) lattice displacements of the cube offsets
     cand_sq = np.einsum("ij,ij->i", cand, cand)
     l0 = np.rint(xs @ inv.T).astype(np.int64)
@@ -300,8 +301,9 @@ def _cube_search(
     cert = np.zeros(xs.shape[0], dtype=bool)
     if certify:
         mu = float(np.linalg.norm(inv, axis=1).max())
-    for start in range(0, xs.shape[0], _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, xs.shape[0])
+    step = max(1, _SCORE_CHUNK // cube.shape[0])
+    for start in range(0, xs.shape[0], step):
+        stop = min(start + step, xs.shape[0])
         r = resid[start:stop]
         # ||r - c_k||^2 = ||r||^2 - 2 r.c_k + ||c_k||^2; drop the constant ||r||^2.
         scores = cand_sq[None, :] - 2.0 * (r @ cand.T)
@@ -345,7 +347,7 @@ def quantize_batch(lat: TruncatedLattice, xs: np.ndarray) -> np.ndarray:
     codeword is the answer, and its index is found by binary search in the
     lattice's sorted box ids.  Only the other rows (overload, uncertified,
     non-finite) are scanned.  The scan is chunked so that rows x |C| stays
-    within _ENUM_CHUNK scores.
+    within _SCORE_CHUNK scores.
     """
     if lat.size == 0:
         raise GeometryError("cannot quantize against an empty codebook")
@@ -365,25 +367,25 @@ def quantize_batch(lat: TruncatedLattice, xs: np.ndarray) -> np.ndarray:
 def _lookup(lat: TruncatedLattice, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of xs whose certified nearest lattice point is a codeword, and
     that codeword's index."""
-    table = _index_lookup(lat)
+    bound, ids, index = lat.lookup
     # A row whose Babai coordinates leave the box by more than the cube's
     # reach cannot land in it; dropping such rows (and non-finite ones)
     # first also keeps them out of the integer cast.
-    near = np.flatnonzero(np.all(np.abs(xs @ table.inv.T) <= table.bound + 3, axis=1))
-    ls, cert = _cube_search(lat.gen, table.inv, xs[near], certify=True)
-    keys = _box_ids(ls, table.bound)
-    pos = np.minimum(np.searchsorted(table.ids, keys), table.ids.size - 1)
-    hit = cert & np.all(np.abs(ls) <= table.bound, axis=1) & (table.ids[pos] == keys)
+    near = np.flatnonzero(np.all(np.abs(xs @ lat.inv.T) <= bound + 3, axis=1))
+    ls, cert = _cube_search(lat.gen, lat.inv, xs[near], certify=True)
+    keys = _box_ids(ls, bound)
+    pos = np.minimum(np.searchsorted(ids, keys), ids.size - 1)
+    hit = cert & np.all(np.abs(ls) <= bound, axis=1) & (ids[pos] == keys)
     pos = pos[hit]
-    return near[hit], pos if table.index is None else table.index[pos]
+    return near[hit], pos if index is None else index[pos]
 
 
 def _scan(codebook: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Index of the first minimum of ||c||^2 - 2 x.c over the codebook, per
-    row, in chunks of at most _ENUM_CHUNK scores."""
+    row, in chunks of at most _SCORE_CHUNK scores."""
     cb_sq = np.einsum("ij,ij->i", codebook, codebook)
     out = np.empty(xs.shape[0], dtype=np.int64)
-    step = max(1, _ENUM_CHUNK // codebook.shape[0])
+    step = max(1, _SCORE_CHUNK // codebook.shape[0])
     for start in range(0, xs.shape[0], step):
         stop = min(start + step, xs.shape[0])
         scores = cb_sq[None, :] - 2.0 * (xs[start:stop] @ codebook.T)

@@ -34,10 +34,9 @@ from .errors import GeometryError, NumericError, ResourceLimitError
 from .lattice import (
     GEN_HEXAGONAL,
     TruncatedLattice,
-    build_lattice,
+    _build,
+    _kth_norm_points,
     check_generator,
-    count_codewords_at_most,
-    kth_norm,
     quantize_batch,
 )
 from .rng import derive_seed, stream_unit_block
@@ -45,9 +44,9 @@ from .sdq import (
     DitherStream,
     SdqCodec,
     _fit_scale_pinned,
+    _fold_dithers,
     dithers_at,
     fit_scale,
-    fold_dithers,
     recombine,
     split_vector,
 )
@@ -187,22 +186,27 @@ def normalize_scale(raw: np.ndarray, rate: float, gamma: float = 1.0) -> float:
     count first fits the budget just above c = gamma / r, with r the
     (budget+1)-th smallest norm of the raw lattice (kth_norm).  Where
     rounding leaves that c on the boundary, it steps up one ulp at a time
-    until count_codewords_at_most agrees.  A raw lattice so fine that r
-    needs a search box beyond the enumeration cap raises ResourceLimitError.
+    until a count over the points that search enumerated (a superset of the
+    codewords) agrees.  A raw lattice so fine that r needs a search box
+    beyond the enumeration cap raises ResourceLimitError.
     """
     raw = check_generator(raw)
+    if not (gamma > 0):
+        raise GeometryError(f"support radius must be positive, got {gamma}")
     budget = codeword_budget(raw.shape[0], rate)
-    c = gamma / kth_norm(raw, budget + 1)[0]
-    while count_codewords_at_most(c * raw, gamma, budget) > budget:
+    r, _, ls = _kth_norm_points(raw, np.linalg.inv(raw), budget + 1)
+    c = gamma / r
+    while True:
+        pts = ls @ (c * raw).T
+        if np.count_nonzero(np.einsum("ij,ij->i", pts, pts) <= gamma * gamma) <= budget:
+            return c
         c = math.nextafter(c, math.inf)
-    return c
 
 
 def normalize_generator(raw: np.ndarray, rate: float, gamma: float = 1.0) -> np.ndarray:
-    """raw scaled by normalize_scale, the smallest scale that respects the
-    2^(L*R) codeword ceiling."""
-    raw = check_generator(raw)
-    return normalize_scale(raw, rate, gamma) * raw
+    """raw scaled by normalize_scale (which validates it), the smallest
+    scale that respects the 2^(L*R) codeword ceiling."""
+    return normalize_scale(raw, rate, gamma) * np.asarray(raw, dtype=np.float64)
 
 
 @dataclass
@@ -444,23 +448,23 @@ def _fit_emit_scale(blocks, lat, cfg, probe: DitherStream) -> float:
 _MEASURE_REPS = 4
 
 
-def _measure(theta, lattice_dim, blocks, cfg: LearnerConfig) -> tuple[float, np.ndarray]:
-    """(_measured_mse, the normalized generator it was measured under)."""
+def _measure(theta, lattice_dim, blocks, cfg: LearnerConfig) -> tuple[float, TruncatedLattice]:
+    """(_measured_mse, the codebook it was measured under)."""
     raw, _ = _forward_cached(theta, lattice_dim)
     gen = normalize_generator(raw, cfg.rate, cfg.gamma)
-    lat = build_lattice(gen, cfg.gamma)
-    probe = DitherStream(derive_seed(cfg.seed, _TAG_MEASURE_PROBE), gen)
-    zeta = _fit_emit_scale(blocks, lat, cfg, probe)
+    lat, _ = _lattice_and_shell(gen, cfg.gamma)
+    zeta, _ = _pinned_scale(blocks, lat, cfg)
     total = 0.0
     for rep in range(_MEASURE_REPS):
-        d = dithers_at(
-            derive_seed(cfg.seed, _TAG_MEASURE_DITHER, rep), gen, 0, blocks.shape[0]
+        u = _stream_coords(
+            derive_seed(cfg.seed, _TAG_MEASURE_DITHER, rep), blocks.shape[0], lattice_dim
         )
+        d, _ = _fold_dithers(u, gen, lat.inv)
         idx = quantize_batch(lat, zeta * blocks + d)
         rec = (lat.codebook[idx] - d) / zeta
         e = blocks - rec
         total += float(np.einsum("ij,ij->", e, e))
-    return total / _MEASURE_REPS, gen
+    return total / _MEASURE_REPS, lat
 
 
 def _measured_mse(theta, lattice_dim, blocks, cfg: LearnerConfig) -> float:
@@ -485,8 +489,9 @@ def _stream_coords(seed: int, n_rows: int, dim: int) -> np.ndarray:
 _PIN_TOL = 1e-9
 
 
-def _pinned_scale(blocks, lat: TruncatedLattice, cfg: LearnerConfig):
-    """The safeguard's input scale zeta and d zeta / d gen.
+def _pinned_scale(blocks, lat: TruncatedLattice, cfg: LearnerConfig, tag=_TAG_MEASURE_PROBE):
+    """The safeguard's input scale zeta (fit_scale under the probe stream
+    tag, by default the measurement's) and d zeta / d gen.
 
     zeta is the overload root of one probe block (see fit_scale): a root of
     that block's quadratic zeta^2 ||x||^2 + 2 zeta <x, d> + ||d||^2 =
@@ -496,9 +501,8 @@ def _pinned_scale(blocks, lat: TruncatedLattice, cfg: LearnerConfig):
     """
     gen = lat.gen
     fit_blocks, target = _scale_fit_set(blocks, cfg)
-    seed = derive_seed(cfg.seed, _TAG_MEASURE_PROBE)
-    u = _stream_coords(seed, fit_blocks.shape[0], gen.shape[0])
-    d, fold = fold_dithers(u, gen)
+    u = _stream_coords(derive_seed(cfg.seed, tag), fit_blocks.shape[0], gen.shape[0])
+    d, fold = _fold_dithers(u, gen, lat.inv)
     zeta, p = _fit_scale_pinned(fit_blocks, lat.gamma, d, target)
     if p < 0:
         return zeta, np.zeros_like(gen)
@@ -507,19 +511,18 @@ def _pinned_scale(blocks, lat: TruncatedLattice, cfg: LearnerConfig):
     return zeta, -np.outer(y, u[p] - fold[p]) / slope
 
 
-def _budget_shell(gen: np.ndarray, gamma: float) -> np.ndarray:
-    """Coefficient vectors of the lattice points whose norm pins the
-    normalization, one of each +-l pair.
+def _lattice_and_shell(gen: np.ndarray, gamma: float) -> tuple[TruncatedLattice, np.ndarray]:
+    """The codebook of a normalized generator and its budget shell: one of
+    each +-l pair of the points whose norm pins the normalization, which
+    normalize_generator leaves within a relative _PIN_TOL above gamma."""
+    lat, band = _build(gen, gamma, gamma * (1.0 + _PIN_TOL))
+    lead = band[np.arange(band.shape[0]), np.argmax(band != 0, axis=1)]
+    return lat, band[lead > 0]
 
-    normalize_generator leaves the (budget+1)-th smallest norm, and any
-    norm tied with it, just above gamma; these points lie within a relative
-    _PIN_TOL of it.
-    """
-    outer = build_lattice(gen, gamma * (1.0 + _PIN_TOL))
-    sq = np.einsum("ij,ij->i", outer.codebook, outer.codebook)
-    shell = outer.index_set[sq > gamma * gamma]
-    lead = shell[np.arange(shell.shape[0]), np.argmax(shell != 0, axis=1)]
-    return shell[lead > 0]
+
+def _budget_shell(gen: np.ndarray, gamma: float) -> np.ndarray:
+    """The budget shell of a normalized generator (see _lattice_and_shell)."""
+    return _lattice_and_shell(gen, gamma)[1]
 
 
 def _measured_mse_grad(
@@ -530,6 +533,7 @@ def _measured_mse_grad(
     gen: np.ndarray,
     lat: TruncatedLattice,
     cfg: LearnerConfig,
+    shell: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """The batch's share of _measured_mse and its exact gradient over theta.
 
@@ -538,7 +542,8 @@ def _measured_mse_grad(
     (d = gen @ w), the normalization scale c = gamma / ||raw l*|| with l*
     the first lattice point left out of the codeword budget, and zeta as
     the root pinned by one probe block (see _pinned_scale).  gen must be
-    the normalized generator of theta and lat its codebook.
+    the normalized generator of theta, and lat and shell (derived when not
+    given) what _lattice_and_shell returns for it.
 
     When several norms tie at ||raw l*|| (at rate 3 the hexagonal warm
     start keeps 61 codewords and leaves out twelve points of one norm), any
@@ -558,7 +563,7 @@ def _measured_mse_grad(
         ]
     )
     x = np.tile(blocks[batch_ids], (_MEASURE_REPS, 1))
-    d, fold = fold_dithers(u, gen)
+    d, fold = _fold_dithers(u, gen, lat.inv)
     idx = quantize_batch(lat, zeta * x + d)
     a = lat.index_set[idx] + fold - u  # reconstruction (codeword - d) / zeta == gen @ a / zeta
     rec_scaled = a @ gen.T
@@ -572,7 +577,7 @@ def _measured_mse_grad(
     # d c / d raw = -c^2 p l*^T / ||p||^2.
     c = float(np.einsum("ij,ij->", gen, raw)) / float(np.einsum("ij,ij->", raw, raw))
     draw = c * dgen
-    shell = _budget_shell(gen, cfg.gamma)
+    shell = _budget_shell(gen, cfg.gamma) if shell is None else shell
     if shell.shape[0]:
         p = gen @ shell[0]
         draw -= c * float(np.einsum("ij,ij->", dgen, gen)) / float(p @ p) * np.outer(p, shell[0])
@@ -610,24 +615,25 @@ def online_lattice_learning(
     post-training measured distortion exceeds the pre-training one, the
     pre-training weights are kept (monotone safeguard).  Degenerate
     geometry mid-training reverts to the last valid weights and shrinks the
-    step size; after three reversions the loop aborts and the best
-    checkpoint so far wins.  The emitted generator is the one its
-    checkpoint was measured under, so emission never normalizes again.
+    step size; after three reversions the loop aborts, measures the weights
+    each completed epoch ended with, and the best of them and the
+    pre-training weights wins.  The emitted lattice is the one its weights
+    were measured under, so emission never normalizes again.
     """
     if cfg.loss_kind == "task" and objective is None:
         raise ValueError("task loss requires a client objective")
     dim = net.lattice_dim
     blocks, pad = split_vector(np.asarray(h_t, dtype=np.float64), dim)
     n_blocks = blocks.shape[0]
-    theta0 = net.theta.copy()
-    theta = theta0.copy()
-    last_valid = theta0.copy()
+    # Steps rebind theta and never write into it, so weights are shared, not copied.
+    theta = last_valid = theta0 = net.theta.copy()
     eta = float(cfg.learning_rate)
     reversions = 0
     aborted = False
 
-    # (measured distortion, weights, the generator measured under them)
-    checkpoints = [(*_measure(theta0, dim, blocks, cfg), theta0.copy())]
+    # (measured distortion, the codebook measured under them, weights)
+    start = (*_measure(theta0, dim, blocks, cfg), theta0)
+    epoch_ends = []
 
     for epoch in range(cfg.epochs):
         perm_u = stream_unit_block(derive_seed(cfg.seed, _TAG_SHUFFLE, epoch), 0, n_blocks)
@@ -638,9 +644,11 @@ def online_lattice_learning(
             try:
                 raw, _ = _forward_cached(theta, dim)
                 gen = normalize_generator(raw, cfg.rate, cfg.gamma)
-                lat = build_lattice(gen, cfg.gamma)
+                lat, shell = _lattice_and_shell(gen, cfg.gamma)
                 if cfg.loss_kind == "mse":
-                    _, dtheta = _measured_mse_grad(theta, dim, blocks, batch_ids, gen, lat, cfg)
+                    _, dtheta = _measured_mse_grad(
+                        theta, dim, blocks, batch_ids, gen, lat, cfg, shell
+                    )
                 else:
                     batch = blocks[batch_ids]
                     probe = DitherStream(derive_seed(cfg.seed, _TAG_BATCH_PROBE, epoch, b), gen)
@@ -654,44 +662,31 @@ def online_lattice_learning(
                         objective=objective, pad=pad,
                     )
             except (GeometryError, ResourceLimitError):
-                theta = last_valid.copy()
+                theta = last_valid
                 eta *= 0.1
                 reversions += 1
                 if reversions > 3:
                     aborted = True
                     break
                 continue
-            last_valid = theta.copy()
+            last_valid = theta
             theta = theta - eta * dtheta
         if aborted:
             break
+        epoch_ends.append(theta)
+
+    def checkpoint(weights):
         try:
-            checkpoints.append((*_measure(theta, dim, blocks, cfg), theta.copy()))
+            return (*_measure(weights, dim, blocks, cfg), weights)
         except (GeometryError, ResourceLimitError):
-            theta = last_valid.copy()
-            eta *= 0.1
-            reversions += 1
-            if reversions > 3:
-                aborted = True
-                break
+            return math.inf, None, weights
 
     if aborted:
-        _, gen, theta_final = min(checkpoints, key=lambda c: c[0])
+        checkpoints = [start] + [checkpoint(weights) for weights in epoch_ends]
+        _, lat, theta_final = min(checkpoints, key=lambda c: c[0])
     else:
-        if np.array_equal(theta, checkpoints[-1][2]):
-            # The last epoch's checkpoint already measured these weights.
-            final_mse, final_gen, _ = checkpoints[-1]
-        else:
-            try:
-                final_mse, final_gen = _measure(theta, dim, blocks, cfg)
-            except (GeometryError, ResourceLimitError):
-                final_mse, final_gen = math.inf, None
-        if final_mse <= checkpoints[0][0]:
-            gen, theta_final = final_gen, theta
-        else:
-            _, gen, theta_final = checkpoints[0]
+        final = checkpoint(theta)
+        _, lat, theta_final = final if final[0] <= start[0] else start
 
-    lat = build_lattice(gen, cfg.gamma)
-    probe = DitherStream(derive_seed(cfg.seed, _TAG_EMIT_PROBE), gen)
-    zeta = _fit_emit_scale(blocks, lat, cfg, probe)
-    return LearnedLattice(gen=gen, zeta=zeta, theta=theta_final.copy())
+    zeta, _ = _pinned_scale(blocks, lat, cfg, _TAG_EMIT_PROBE)
+    return LearnedLattice(gen=lat.gen, zeta=zeta, theta=theta_final.copy())

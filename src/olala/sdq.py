@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng
 from .errors import GeometryError, ProtocolError
-from .lattice import TruncatedLattice, check_generator, nearest_point_batch, quantize_batch
+from .lattice import TruncatedLattice, _cube_search, check_generator, quantize_batch
 
 _SCALE_FLOOR = 1e-9
 _SCALE_CEIL = 1e9
@@ -59,20 +59,22 @@ def dithers_at(seed: int, gen: np.ndarray, start: int, count: int) -> np.ndarray
     nearest lattice point.  Folding a fundamental-cell sample this way is
     measure-preserving, so the result is uniform over the basic cell.
     """
+    gen = check_generator(gen)
     dim = gen.shape[0]
     u = rng.stream_unit_block(seed, start * dim, count * dim).reshape(count, dim)
-    return fold_dithers(u, gen)[0]
+    return _fold_dithers(u, gen, np.linalg.inv(gen))[0]
 
 
-def fold_dithers(u: np.ndarray, gen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fold_dithers(u: np.ndarray, gen: np.ndarray, inv: np.ndarray):
     """Dithers from parallelepiped coordinates u (rows in [0,1)^L), folded
-    onto the basic cell, and the integer fold subtracted from each.
+    onto the basic cell, and the integer fold (nearest_point_batch's point)
+    subtracted from each; gen is validated and inv is its inverse.
 
     d == (u - fold) @ gen.T, so with the fold held fixed a dither is linear
     in the generator.
     """
     d0 = u @ gen.T
-    fold = nearest_point_batch(gen, d0)
+    fold = _cube_search(gen, inv, d0)[0]
     return d0 - fold @ gen.T, fold
 
 

@@ -485,3 +485,55 @@ def test_heuristic_needs_ten_subvectors():
     lat = build_lattice(GEN_HEXAGONAL, 1.0)
     with pytest.raises(ValueError):
         overload_heuristic_minus1(np.ones((5, 2)), lat, DitherStream(63, GEN_HEXAGONAL))
+
+
+def test_learner_enumerates_and_validates_once_per_normalization(monkeypatch):
+    # From one normalization to the next, the learner enumerates only as
+    # often as kth_norm's search for the (budget+1)-th norm does, plus once
+    # for the codebook with its budget shell, and it validates only the raw
+    # matrix.  Emission reuses the codebook its weights were measured under.
+    import collections
+    import sys
+
+    import olala.lattice as lattice
+    import olala.learning as learning
+
+    net = init_prior_net(2, seed=1)
+    h = _anisotropic_blocks().ravel()
+    cfg = LearnerConfig(loss_kind="mse", learning_rate=1e-4, epochs=2, batches=4, rate=3.0, seed=5)
+    sink = [None]  # the Counter that calls are charged to
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            if sink[0] is not None:
+                sink[0][fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # Modules that imported a function by name hold their own reference.
+    for fn in (lattice._points_within, lattice.check_generator):
+        wrapper = counted(fn)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("olala"):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    log = []  # per normalization: its raw matrix and the calls until the next one
+    real = learning.normalize_generator
+
+    def normalize(raw, rate, gamma=1.0):
+        sink[0] = collections.Counter()
+        log.append((raw.copy(), sink[0]))
+        return real(raw, rate, gamma)
+
+    monkeypatch.setattr(learning, "normalize_generator", normalize)
+    online_lattice_learning(net, np.zeros(1), h, cfg)
+
+    assert len(log) == 1 + cfg.epochs * cfg.batches + 1  # start, steps, final weights
+    budget = codeword_budget(2, cfg.rate)
+    for raw, calls in log:
+        sink[0] = search = collections.Counter()
+        lattice.kth_norm(raw, budget + 1)
+        assert calls["_points_within"] <= search["_points_within"] + 1
+        assert calls["check_generator"] == 1

@@ -1,16 +1,23 @@
 """Property tests of the direct order statistics against brute force: the
-k-th lattice-point norm, the codeword-budget scale and the input scale."""
+k-th lattice-point norm, the codeword-budget scale, the codebook with its
+budget shell, and the input scale."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from olala.errors import ResourceLimitError
 from olala.lattice import GEN_HEXAGONAL, build_lattice, kth_norm
-from olala.learning import codeword_budget, normalize_generator, normalize_scale
+from olala.learning import (
+    _lattice_and_shell,
+    codeword_budget,
+    normalize_generator,
+    normalize_scale,
+)
 from olala.sdq import DitherStream, fit_scale
 
 PROPERTY = settings(
@@ -80,6 +87,59 @@ def test_normalize_scale_is_minimal(raw, rate):
     c = normalize_scale(raw, rate)
     assert _brute_count(c * raw) <= budget < _brute_count(c * (1.0 - 1e-12) * raw)
     assert np.array_equal(normalize_generator(raw, rate), c * raw)
+
+
+@st.composite
+def skewed_raws(draw):
+    """Raw generators eye(L) + 0.4 N(0, 1) at L in {1, 2, 3, 4}."""
+    dim = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.eye(dim) + 0.4 * np.random.default_rng(seed).normal(size=(dim, dim))
+
+
+def _brute_points(gen, radius):
+    """Lexicographic coefficient vectors l with ||gen l|| <= radius and their
+    squared norms, from a coefficient cube that holds every such point,
+    taken a slab of the first coordinate at a time."""
+    dim = gen.shape[0]
+    bound = int(math.ceil(radius / np.linalg.svd(gen, compute_uv=False)[-1]))
+    axis = np.arange(-bound, bound + 1)
+    if dim == 1:
+        slabs = [axis[:, None]]
+    else:
+        rest = np.stack(np.meshgrid(*[axis] * (dim - 1), indexing="ij"), axis=-1)
+        rest = rest.reshape(-1, dim - 1)
+        slabs = [np.hstack([np.full((rest.shape[0], 1), a), rest]) for a in axis]
+    kept_ls, kept_sq = [], []
+    for ls in slabs:
+        pts = ls @ gen.T
+        sq = np.einsum("ij,ij->i", pts, pts)
+        ok = sq <= radius * radius
+        kept_ls.append(ls[ok])
+        kept_sq.append(sq[ok])
+    return np.concatenate(kept_ls), np.concatenate(kept_sq)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(raw=skewed_raws(), rate=RATES)
+@example(raw=GEN_HEXAGONAL, rate=3.0)  # a tie shell on the budget boundary
+@example(raw=np.eye(2), rate=1.0)
+def test_lattice_and_shell_match_build_lattice_and_brute_force(raw, rate):
+    try:
+        gen = normalize_generator(raw, rate)
+    except ResourceLimitError:  # too skewed for the enumeration cap
+        assume(False)
+    lat, shell = _lattice_and_shell(gen, 1.0)
+    ref = build_lattice(gen, 1.0)
+    assert np.array_equal(lat.index_set, ref.index_set)
+    assert np.array_equal(lat.codebook, ref.codebook)
+    # The shell is the band 1 < ||gen l|| <= 1 + 1e-9, one of each +-l pair.
+    ls, sq = _brute_points(gen, 1.0 + 1e-9)
+    band = {tuple(l) for l in ls[sq > 1.0]}
+    kept = {tuple(l) for l in shell}
+    assert shell.shape[0] == len(kept) and 2 * len(kept) == len(band)
+    assert kept | {tuple(-l) for l in shell} == band
+    assert shell.shape[0] >= 1  # the (budget+1)-th norm sits just above gamma
 
 
 @PROPERTY
