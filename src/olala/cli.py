@@ -10,7 +10,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .checks import all_non_control_passed, run_all_checks
 from .config import ExperimentConfig, config_defaults_text, parse_config
 from .errors import ConfigError
 from .fl import run_fl, save_model, write_lattices_jsonl, write_rounds_csv
@@ -79,6 +78,9 @@ def _do_run(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
 
 
 def _do_checks(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
+    # Imported here: the checks pull in scipy.stats, which run and sweep never use.
+    from .checks import all_non_control_passed, run_all_checks
+
     reports = run_all_checks(cfg)
     payload = {
         "all_passed": all_non_control_passed(reports),

@@ -44,10 +44,15 @@ _LOOKUP_CUBES = 4
 # certified nearest point must beat every other lattice point: far above the
 # rounding of either search, so the scan's floating-point argmin agrees.
 _TIE_REL = 1e-9
-# Relative slack on the certificate's bound for the rounding of G^-1.
+# Relative slack on the certificates' bounds for the rounding of G^-1.
 _CERT_SLACK = 1e-9
+# A fresh enumeration covers this multiple of the radius asked for, so the
+# memo answers the next queries of a slowly moving generator.
+_MEMO_WIDEN = 1.1
 
 _grid_cache: dict[tuple[int, int], np.ndarray] = {}
+# The last fresh enumeration (B, R, ls, sq); see _points_within.
+_memo: tuple[np.ndarray, float, np.ndarray, np.ndarray] | None = None
 
 
 def check_generator(gen: np.ndarray) -> np.ndarray:
@@ -140,16 +145,68 @@ def _points_within(
     The integer search box comes from the inverse matrix's row norms: any
     point gen@l with ||gen@l|| <= radius has ||l||_inf bounded by
     ceil(radius * max_i ||row_i(gen^-1)||).  A box of more than enum_cap
-    candidates raises ResourceLimitError.
+    candidates raises ResourceLimitError; that check comes first, so a call
+    raises exactly when the box it would enumerate is too large.
+
+    The process keeps its last fresh enumeration as a one-entry memo
+    (B, R, ls, sq): every l with ||B l|| <= R, in lexicographic order.  A
+    call is answered from it when a bound proves it complete.  With
+    alpha = <gen, B> / <gen, gen>, every l with ||gen @ l|| <= radius has
+    ||B l|| <= radius (|alpha| + ||alpha gen - B|| ||gen^-1||), Frobenius
+    norms bounding the spectral ones.  When that bound, times 1 +
+    _CERT_SLACK for rounding, is at most R, the answer is the memo rows
+    whose squared norm under gen, computed row by row as the box computes
+    it, is at most radius^2: the same vectors in the same order, with the
+    same bits.  One entry serves a generator and its rescaled copies, so a
+    learner step's normalization search and codebook come from it while
+    the generator moves little.  Otherwise the box is enumerated at
+    _MEMO_WIDEN times the radius (at the radius itself when the wider box
+    exceeds enum_cap), stored, and filtered back to the radius.  Results
+    never depend on the memo's state.
     """
+    global _memo
     dim = gen.shape[0]
-    bound = int(math.ceil(radius * float(np.linalg.norm(inv, axis=1).max())))
-    side = 2 * bound + 1
-    total = side**dim
+    reach = float(np.linalg.norm(inv, axis=1).max())
+    total = (2 * int(math.ceil(radius * reach)) + 1) ** dim
     if total > enum_cap:
         raise ResourceLimitError(
             f"lattice enumeration box has {total} candidates (cap {enum_cap})"
         )
+    memo = _memo  # read once: the answer and its certificate use one entry
+    if memo is not None and _memo_covers(memo, gen, inv, radius):
+        ls = memo[2]
+        pts = ls @ gen.T
+        sq = np.einsum("ij,ij->i", pts, pts)
+    else:
+        wide = radius * _MEMO_WIDEN
+        if (2 * int(math.ceil(wide * reach)) + 1) ** dim > enum_cap:
+            wide = radius
+        ls, sq = _enumerate(gen, int(math.ceil(wide * reach)), wide)
+        _memo = (gen.copy(), wide, ls, sq)
+    ok = sq <= radius * radius
+    return ls[ok], sq[ok]
+
+
+def _memo_covers(memo, gen: np.ndarray, inv: np.ndarray, radius: float) -> bool:
+    """Whether the memo holds every l with ||gen @ l|| <= radius (see
+    _points_within)."""
+    base, memo_radius = memo[0], memo[1]
+    if base.shape != gen.shape:
+        return False
+    base, g, w = base.ravel(), gen.ravel(), inv.ravel()
+    alpha = float(g @ base) / float(g @ g)
+    diff = alpha * g - base
+    drift = math.sqrt(float(diff @ diff) * float(w @ w))
+    return radius * (abs(alpha) + drift) * (1.0 + _CERT_SLACK) <= memo_radius
+
+
+def _enumerate(gen: np.ndarray, bound: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The l in the box [-bound, bound]^L with ||gen @ l|| <= radius, in
+    lexicographic order, and their squared norms, in chunks of
+    _ENUM_CHUNK candidates."""
+    dim = gen.shape[0]
+    side = 2 * bound + 1
+    total = side**dim
     gen_t = gen.T
     kept_ls: list[np.ndarray] = []
     kept_sq: list[np.ndarray] = []

@@ -42,10 +42,8 @@ from .lattice import (
 from .rng import derive_seed, stream_unit_block
 from .sdq import (
     DitherStream,
-    SdqCodec,
     _fit_scale_pinned,
     _fold_dithers,
-    dithers_at,
     fit_scale,
     recombine,
     split_vector,
@@ -380,18 +378,26 @@ def lattice_grad(
     codec's generator is treated as a constant of the step (stop gradient),
     as is the assignment argmin; everything else is ordinary backprop.
     """
-    raw, cache = _forward_cached(net.theta, net.lattice_dim)
-    gen = codec.lattice.gen
+    return _lattice_grad(
+        net.theta, net.lattice_dim, blocks, codec.lattice, codec.zeta, kind, dithers, w,
+        objective, pad,
+    )
+
+
+def _lattice_grad(theta, lattice_dim, blocks, lat, zeta, kind, dithers, w, objective, pad):
+    """lattice_grad under the codebook lat and input scale zeta."""
+    raw, cache = _forward_cached(theta, lattice_dim)
+    gen = lat.gen
     denom = float(np.einsum("ij,ij->", raw, raw))
     if denom <= 0:
         raise GeometryError("raw prior output is identically zero")
     scale = float(np.einsum("ij,ij->", gen, raw)) / denom  # gen == scale * raw
-    x = codec.zeta * blocks
-    idx = quantize_batch(codec.lattice, x + dithers)
+    x = zeta * blocks
+    idx = quantize_batch(lat, x + dithers)
     loss, dgen = _frozen_loss_grad_gen(
-        kind, gen, blocks, dithers, codec.lattice.index_set[idx], codec.zeta, w, objective, pad
+        kind, gen, blocks, dithers, lat.index_set[idx], zeta, w, objective, pad
     )
-    dtheta = _backward(net.theta, net.lattice_dim, cache, (scale * dgen).ravel())
+    dtheta = _backward(theta, lattice_dim, cache, (scale * dgen).ravel())
     return loss, dtheta
 
 
@@ -455,10 +461,7 @@ def _measure(theta, lattice_dim, blocks, cfg: LearnerConfig) -> tuple[float, Tru
     lat, _ = _lattice_and_shell(gen, cfg.gamma)
     zeta, _ = _pinned_scale(blocks, lat, cfg)
     total = 0.0
-    for rep in range(_MEASURE_REPS):
-        u = _stream_coords(
-            derive_seed(cfg.seed, _TAG_MEASURE_DITHER, rep), blocks.shape[0], lattice_dim
-        )
+    for u in _measure_coords(cfg.seed, blocks.shape[0], lattice_dim):
         d, _ = _fold_dithers(u, gen, lat.inv)
         idx = quantize_batch(lat, zeta * blocks + d)
         rec = (lat.codebook[idx] - d) / zeta
@@ -477,11 +480,30 @@ def _measured_mse(theta, lattice_dim, blocks, cfg: LearnerConfig) -> float:
     return _measure(theta, lattice_dim, blocks, cfg)[0]
 
 
-@functools.lru_cache(maxsize=2 * _MEASURE_REPS)
+def _coords(seed: int, n_rows: int, dim: int) -> np.ndarray:
+    """Parallelepiped coordinates of dithers 0 .. n_rows-1 of a stream, the
+    u that dithers_at folds."""
+    return stream_unit_block(seed, 0, n_rows * dim).reshape(n_rows, dim)
+
+
+# The streams below are read at every step of a learning run, so they are
+# drawn once per run and kept read-only.
+@functools.lru_cache(maxsize=4)
 def _stream_coords(seed: int, n_rows: int, dim: int) -> np.ndarray:
-    """Parallelepiped coordinates of dithers 0 .. n_rows-1 of a stream
-    (read-only: every step of a learning run reads the same ones)."""
-    u = stream_unit_block(seed, 0, n_rows * dim).reshape(n_rows, dim)
+    """_coords, cached: the probe streams of the measurement and emission."""
+    u = _coords(seed, n_rows, dim)
+    u.flags.writeable = False
+    return u
+
+
+@functools.lru_cache(maxsize=2)
+def _measure_coords(seed: int, n_rows: int, dim: int) -> np.ndarray:
+    """_coords of the _MEASURE_REPS measurement dither streams of a run's
+    seed, stacked into shape (_MEASURE_REPS, n_rows, dim)."""
+    u = np.stack(
+        [_coords(derive_seed(seed, _TAG_MEASURE_DITHER, rep), n_rows, dim)
+         for rep in range(_MEASURE_REPS)]
+    )
     u.flags.writeable = False
     return u
 
@@ -552,22 +574,18 @@ def _measured_mse_grad(
     that keep the tied norms equal.
     """
     raw, cache = _forward_cached(theta, lattice_dim)
-    n = blocks.shape[0]
     zeta, dzeta = _pinned_scale(blocks, lat, cfg)
-    u = np.concatenate(
-        [
-            _stream_coords(derive_seed(cfg.seed, _TAG_MEASURE_DITHER, rep), n, lattice_dim)[
-                batch_ids
-            ]
-            for rep in range(_MEASURE_REPS)
-        ]
-    )
-    x = np.tile(blocks[batch_ids], (_MEASURE_REPS, 1))
+    # Rows of repetition rep at rep * m: the batch's m blocks under each
+    # measurement dither stream, the blocks broadcast rather than tiled.
+    x = blocks[batch_ids]
+    stacked = (_MEASURE_REPS, *x.shape)
+    u = _measure_coords(cfg.seed, blocks.shape[0], lattice_dim)[:, batch_ids]
+    u = u.reshape(-1, lattice_dim)
     d, fold = _fold_dithers(u, gen, lat.inv)
-    idx = quantize_batch(lat, zeta * x + d)
+    idx = quantize_batch(lat, (zeta * x + d.reshape(stacked)).reshape(d.shape))
     a = lat.index_set[idx] + fold - u  # reconstruction (codeword - d) / zeta == gen @ a / zeta
     rec_scaled = a @ gen.T
-    e = x - rec_scaled / zeta
+    e = (x - (rec_scaled / zeta).reshape(stacked)).reshape(d.shape)
     loss = float(np.einsum("ij,ij->", e, e)) / _MEASURE_REPS
     dgen = -2.0 / zeta * (e.T @ a)
     dgen += 2.0 / zeta**2 * float(np.einsum("ij,ij->", e, rec_scaled)) * dzeta
@@ -650,16 +668,17 @@ def online_lattice_learning(
                         theta, dim, blocks, batch_ids, gen, lat, cfg, shell
                     )
                 else:
+                    # The batch's scale fit and dithers, as fit_scale and
+                    # dithers_at draw them, folded with the codebook's inverse.
                     batch = blocks[batch_ids]
-                    probe = DitherStream(derive_seed(cfg.seed, _TAG_BATCH_PROBE, epoch, b), gen)
-                    zeta = _fit_emit_scale(batch, lat, cfg, probe)
-                    d = dithers_at(
-                        derive_seed(cfg.seed, _TAG_BATCH_DITHER, epoch, b), gen, 0, batch.shape[0]
-                    )
-                    codec = SdqCodec(lattice=lat, zeta=zeta, dither=probe)
-                    _, dtheta = lattice_grad(
-                        PriorNet(dim, theta), batch, codec, cfg.loss_kind, d, w=w_t,
-                        objective=objective, pad=pad,
+                    fit_blocks, target = _scale_fit_set(batch, cfg)
+                    seed = derive_seed(cfg.seed, _TAG_BATCH_PROBE, epoch, b)
+                    probe, _ = _fold_dithers(_coords(seed, fit_blocks.shape[0], dim), gen, lat.inv)
+                    zeta, _ = _fit_scale_pinned(fit_blocks, lat.gamma, probe, target)
+                    seed = derive_seed(cfg.seed, _TAG_BATCH_DITHER, epoch, b)
+                    d, _ = _fold_dithers(_coords(seed, batch.shape[0], dim), gen, lat.inv)
+                    _, dtheta = _lattice_grad(
+                        theta, dim, batch, lat, zeta, cfg.loss_kind, d, w_t, objective, pad
                     )
             except (GeometryError, ResourceLimitError):
                 theta = last_valid

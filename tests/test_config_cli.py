@@ -186,3 +186,14 @@ def test_cli_failure_removes_partial_outputs(tmp_path):
     assert r.returncode == 1
     assert not (out / "rounds.csv").exists()
     assert not (out / "model.bin").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # Only the checks verb needs scipy.stats; run and sweep skip its import.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import sys, olala.cli; print('scipy.stats' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -537,3 +537,96 @@ def test_learner_enumerates_and_validates_once_per_normalization(monkeypatch):
         lattice.kth_norm(raw, budget + 1)
         assert calls["_points_within"] <= search["_points_within"] + 1
         assert calls["check_generator"] == 1
+
+
+def _count_fresh_enumerations(monkeypatch, cfg, memo=True):
+    """Run the counting tests' learner config; return the learned lattice,
+    the number of fresh box enumerations and of _points_within calls."""
+    import olala.lattice as lattice
+
+    counts = {"fresh": 0, "calls": 0}
+    real_enumerate, real_within = lattice._enumerate, lattice._points_within
+
+    def enumerate_(*args):
+        counts["fresh"] += 1
+        return real_enumerate(*args)
+
+    def within(*args, **kwargs):
+        counts["calls"] += 1
+        return real_within(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice, "_enumerate", enumerate_)
+        patch.setattr(lattice, "_points_within", within)
+        patch.setattr(lattice, "_memo", None)
+        if not memo:  # every call enumerates its own box, as without the memo
+            patch.setattr(lattice, "_memo_covers", lambda *args: False)
+            patch.setattr(lattice, "_MEMO_WIDEN", 1.0)
+        net = init_prior_net(2, seed=1)
+        out = online_lattice_learning(net, np.zeros(1), _anisotropic_blocks().ravel(), cfg)
+    return out, counts["fresh"], counts["calls"]
+
+
+def test_learner_steps_reuse_one_enumeration(monkeypatch):
+    # A slowly moving generator is served from the enumeration memo: the
+    # whole run enumerates a box at most twice (the first normalization's
+    # search grows once), against one box per call without the memo.
+    cfg = LearnerConfig(loss_kind="mse", learning_rate=1e-4, epochs=2, batches=4, rate=3.0, seed=5)
+    out, fresh, calls = _count_fresh_enumerations(monkeypatch, cfg)
+    assert fresh <= 2 < calls
+    ref, fresh_ref, calls_ref = _count_fresh_enumerations(monkeypatch, cfg, memo=False)
+    assert fresh_ref == calls_ref == calls
+    assert out.theta.tobytes() == ref.theta.tobytes()
+    assert out.gen.tobytes() == ref.gen.tobytes() and out.zeta == ref.zeta
+
+
+def test_learner_memo_fallback_matches_memo_free_run(monkeypatch):
+    # Large steps move the generator past the memo's bound, so the learner
+    # enumerates afresh part of the time; the outputs stay those of a run
+    # without the memo, bit for bit.
+    cfg = LearnerConfig(loss_kind="mse", learning_rate=1e-2, epochs=2, batches=4, rate=3.0, seed=5)
+    out, fresh, calls = _count_fresh_enumerations(monkeypatch, cfg)
+    assert 2 < fresh < calls
+    ref, fresh_ref, _ = _count_fresh_enumerations(monkeypatch, cfg, memo=False)
+    assert fresh_ref == calls
+    assert out.theta.tobytes() == ref.theta.tobytes()
+    assert out.gen.tobytes() == ref.gen.tobytes() and out.zeta == ref.zeta
+
+
+@pytest.mark.parametrize("loss_kind", ["neg_snr", "task"])
+def test_lattice_grad_steps_validate_once_per_normalization(monkeypatch, loss_kind):
+    # The neg_snr and task steps fit zeta and fold dithers with the inverse
+    # their codebook keeps, as the mse step does: one check_generator call
+    # (the raw matrix's, in normalize_scale) per normalization.
+    import collections
+    import sys
+
+    import olala.lattice as lattice
+    import olala.learning as learning
+
+    calls = collections.Counter()
+    real_check = lattice.check_generator
+
+    def check(gen):
+        calls[len(log)] += 1
+        return real_check(gen)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("olala"):
+            for attr, value in list(vars(mod).items()):
+                if value is real_check:
+                    monkeypatch.setattr(mod, attr, check)
+    log = []
+    real = learning.normalize_generator
+
+    def normalize(raw, rate, gamma=1.0):
+        log.append(raw)
+        return real(raw, rate, gamma)
+
+    monkeypatch.setattr(learning, "normalize_generator", normalize)
+    h = _anisotropic_blocks().ravel()
+    objective = lambda v: (float(v @ v), 2.0 * v)  # noqa: E731
+    cfg = LearnerConfig(loss_kind=loss_kind, epochs=2, batches=4, rate=3.0, seed=5)
+    online_lattice_learning(init_prior_net(2, seed=1), np.zeros(h.size), h, cfg, objective)
+    assert len(log) == 1 + cfg.epochs * cfg.batches + 1
+    assert [calls[i] for i in range(1, len(log) + 1)] == [1] * len(log)
