@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .fl import FIXED_GENERATORS, QUANTIZER_KINDS
+from .lattice import _ENUM_CAP_DEFAULT
 from .learning import LOSS_KINDS
 from .models import MODEL_KINDS, ModelArch
 
@@ -142,6 +143,12 @@ class ExperimentConfig:
             bad("adapt_every", f"must be >= 1, got {self.adapt_every}")
         if self.quantizer not in QUANTIZER_KINDS:
             bad("quantizer", f"must be one of {QUANTIZER_KINDS}, got {self.quantizer!r}")
+        # A normalization enumerates budget + 1 = 2^(L*R) + 1 points, which
+        # exceeds the cap exactly when L*R >= log2(cap); log2 cannot overflow.
+        log2_budget = self.lattice_dim * self.rate
+        if self.quantizer != "none" and log2_budget >= math.log2(_ENUM_CAP_DEFAULT):
+            bad("R", f"the codeword budget 2^(L*R) + 1 = 2^{log2_budget:g} + 1 "
+                     f"at L={self.lattice_dim} exceeds the enumeration cap {_ENUM_CAP_DEFAULT}")
         if self.quantizer in FIXED_GENERATORS and self.lattice_dim != 2:
             bad("L", f"quantizer={self.quantizer} is a 2-D lattice, got L={self.lattice_dim}")
         if self.loss_kind not in LOSS_KINDS:

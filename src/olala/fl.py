@@ -34,7 +34,7 @@ from .learning import (
     LearnedLattice,
     LearnerConfig,
     PriorNet,
-    _fit_emit_scale,
+    _pinned_scale,
     init_prior_net,
     normalize_generator,
     online_lattice_learning,
@@ -236,8 +236,8 @@ def client_round(client: ClientState, w_global: np.ndarray, t: int, cfg) -> Payl
     lat = build_lattice(gen, 1.0)
     blocks, pad = split_vector(h, cfg.lattice_dim)
     n_blocks = blocks.shape[0]
-    probe = DitherStream(rng.derive_seed(client.seed_root, t, rng.TAG_PROBE_DITHER), gen)
-    zeta = _fit_emit_scale(blocks, lat, cfg, probe)
+    probe_seed = rng.derive_seed(client.seed_root, t, rng.TAG_PROBE_DITHER)
+    zeta, _ = _pinned_scale(blocks, lat, cfg, probe_seed)  # the learner's own scale fit
 
     codec = SdqCodec(
         lattice=lat,

@@ -37,7 +37,9 @@ from .lattice import (
     _build,
     _kth_norm_points,
     check_generator,
+    pack_generator,
     quantize_batch,
+    unpack_generator,
 )
 from .rng import derive_seed, stream_unit_block
 from .sdq import (
@@ -61,7 +63,6 @@ _TAG_BATCH_DITHER = 2
 _TAG_BATCH_PROBE = 3
 _TAG_MEASURE_PROBE = 4
 _TAG_MEASURE_DITHER = 5
-_TAG_EMIT_PROBE = 6
 
 
 def _layer_sizes(lattice_dim: int) -> list[tuple[int, int]]:
@@ -249,28 +250,18 @@ class LearnedLattice:
 
 
 def pack_learned_lattice(learned: LearnedLattice) -> bytes:
-    """Adaptation metadata wire format: u32 L, row-major float64 generator,
-    float64 input scale (all little-endian)."""
-    dim = learned.gen.shape[0]
-    return (
-        struct.pack("<I", dim)
-        + learned.gen.astype("<f8").tobytes(order="C")
-        + struct.pack("<d", learned.zeta)
-    )
+    """Adaptation metadata wire format: pack_generator's blob (u32 L, then
+    the row-major float64 generator) followed by the float64 input scale,
+    all little-endian."""
+    return pack_generator(learned.gen) + struct.pack("<d", learned.zeta)
 
 
 def unpack_learned_lattice(blob: bytes) -> tuple[np.ndarray, float]:
-    if len(blob) < 4:
-        raise ValueError("lattice metadata blob too short")
-    (dim,) = struct.unpack_from("<I", blob, 0)
-    expect = 4 + 8 * dim * dim + 8
-    if len(blob) != expect:
-        raise ValueError(f"lattice metadata blob length {len(blob)}, expected {expect}")
-    gen = np.frombuffer(blob, dtype="<f8", offset=4, count=dim * dim).reshape(dim, dim).copy()
-    (zeta,) = struct.unpack_from("<d", blob, 4 + 8 * dim * dim)
+    gen = unpack_generator(blob[:-8])  # raises ValueError on a short or long blob
+    (zeta,) = struct.unpack("<d", blob[-8:])
     if not zeta > 0:
         raise ValueError(f"input scale must be positive, got {zeta}")
-    return check_generator(gen), zeta
+    return gen, zeta
 
 
 def frozen_loss(
@@ -290,22 +281,9 @@ def frozen_loss(
     vectors.  With assignments frozen the reconstruction is linear in gen,
     which is what makes the analytic gradient exact.
     """
-    x = zeta * blocks
-    rec_scaled = assignments @ gen.T - dithers
-    if kind == "mse":
-        e = x - rec_scaled
-        return float(np.einsum("ij,ij->", e, e))
-    if kind == "neg_snr":
-        e = x - rec_scaled
-        sig = float(np.einsum("ij,ij->", x, x))
-        dist = float(np.einsum("ij,ij->", e, e))
-        return -sig / dist
-    if kind == "task":
-        if objective is None or w is None:
-            raise ValueError("task loss requires the model vector and a client objective")
-        rec = recombine(rec_scaled / zeta, pad)
-        return float(objective(w + rec)[0])
-    raise ValueError(f"unknown loss kind {kind!r}")
+    return _frozen_loss_grad_gen(
+        kind, gen, blocks, dithers, assignments, zeta, w, objective, pad
+    )[0]
 
 
 def _frozen_loss_grad_gen(kind, gen, blocks, dithers, assignments, zeta, w, objective, pad):
@@ -430,44 +408,17 @@ def overload_heuristic_minus1(
     return fit_scale(_heuristic_survivors(blocks, filter_sigma), lat, dither_probe, target)
 
 
-def _scale_fit_set(blocks: np.ndarray, cfg) -> tuple[np.ndarray, float]:
-    """Subvectors and overload target of the scale fit at the configured
-    operating point (the heuristic needs at least 10 subvectors).
-
-    cfg is a LearnerConfig or any config with its overload_mode,
-    target_overload, heuristic_target and heuristic_filter_sigma fields:
-    client_round passes the experiment config, so the learner and the
-    transmitting client fit zeta the same way.
-    """
-    if cfg.overload_mode == "heuristic_minus1" and blocks.shape[0] >= 10:
-        return _heuristic_survivors(blocks, cfg.heuristic_filter_sigma), cfg.heuristic_target
-    return blocks, cfg.target_overload
-
-
-def _fit_emit_scale(blocks, lat, cfg, probe: DitherStream) -> float:
-    """Scale fit at the configured operating point; training batches use the
-    same mode so the loss reflects how the lattice will actually be run."""
-    fit_blocks, target = _scale_fit_set(blocks, cfg)
-    return fit_scale(fit_blocks, lat, probe, target)
-
-
 _MEASURE_REPS = 4
 
 
-def _measure(theta, lattice_dim, blocks, cfg: LearnerConfig) -> tuple[float, TruncatedLattice]:
-    """(_measured_mse, the codebook it was measured under)."""
+def _measure(theta, lattice_dim, blocks, cfg: LearnerConfig):
+    """(_measured_mse, the codebook and the input scale zeta it was measured
+    under): the loss half of the mse step, over every block."""
     raw, _ = _forward_cached(theta, lattice_dim)
-    gen = normalize_generator(raw, cfg.rate, cfg.gamma)
-    lat, _ = _lattice_and_shell(gen, cfg.gamma)
+    lat, _ = _lattice_and_shell(normalize_generator(raw, cfg.rate, cfg.gamma), cfg.gamma)
     zeta, _ = _pinned_scale(blocks, lat, cfg)
-    total = 0.0
-    for u in _measure_coords(cfg.seed, blocks.shape[0], lattice_dim):
-        d, _ = _fold_dithers(u, gen, lat.inv)
-        idx = quantize_batch(lat, zeta * blocks + d)
-        rec = (lat.codebook[idx] - d) / zeta
-        e = blocks - rec
-        total += float(np.einsum("ij,ij->", e, e))
-    return total / _MEASURE_REPS, lat
+    e, _ = _measured_rows(blocks, slice(None), lat, zeta, cfg.seed)
+    return float(np.einsum("ij,ij->", e, e)) / _MEASURE_REPS, lat, zeta
 
 
 def _measured_mse(theta, lattice_dim, blocks, cfg: LearnerConfig) -> float:
@@ -480,22 +431,31 @@ def _measured_mse(theta, lattice_dim, blocks, cfg: LearnerConfig) -> float:
     return _measure(theta, lattice_dim, blocks, cfg)[0]
 
 
+def _measured_rows(blocks, ids, lat: TruncatedLattice, zeta: float, seed: int):
+    """Error rows and reconstruction coefficients a of blocks[ids] under the
+    _MEASURE_REPS measurement dither streams of a run's seed: row rep * m + i
+    is block ids[i] under stream rep, reconstructed as (codeword - dither) /
+    zeta == gen @ a / zeta."""
+    gen = lat.gen
+    dim = gen.shape[0]
+    x = blocks[ids]
+    stacked = (_MEASURE_REPS, *x.shape)
+    u = _measure_coords(seed, blocks.shape[0], dim)[:, ids].reshape(-1, dim)
+    d, fold = _fold_dithers(u, gen, lat.inv)
+    idx = quantize_batch(lat, (zeta * x + d.reshape(stacked)).reshape(d.shape))
+    a = lat.index_set[idx] + fold - u
+    e = (x - (a @ gen.T / zeta).reshape(stacked)).reshape(d.shape)
+    return e, a
+
+
 def _coords(seed: int, n_rows: int, dim: int) -> np.ndarray:
     """Parallelepiped coordinates of dithers 0 .. n_rows-1 of a stream, the
     u that dithers_at folds."""
     return stream_unit_block(seed, 0, n_rows * dim).reshape(n_rows, dim)
 
 
-# The streams below are read at every step of a learning run, so they are
-# drawn once per run and kept read-only.
-@functools.lru_cache(maxsize=4)
-def _stream_coords(seed: int, n_rows: int, dim: int) -> np.ndarray:
-    """_coords, cached: the probe streams of the measurement and emission."""
-    u = _coords(seed, n_rows, dim)
-    u.flags.writeable = False
-    return u
-
-
+# The measurement streams are read at every step of a learning run, so they
+# are drawn once per run and kept read-only.
 @functools.lru_cache(maxsize=2)
 def _measure_coords(seed: int, n_rows: int, dim: int) -> np.ndarray:
     """_coords of the _MEASURE_REPS measurement dither streams of a run's
@@ -511,9 +471,11 @@ def _measure_coords(seed: int, n_rows: int, dim: int) -> np.ndarray:
 _PIN_TOL = 1e-9
 
 
-def _pinned_scale(blocks, lat: TruncatedLattice, cfg: LearnerConfig, tag=_TAG_MEASURE_PROBE):
-    """The safeguard's input scale zeta (fit_scale under the probe stream
-    tag, by default the measurement's) and d zeta / d gen.
+def _pinned_scale(blocks, lat: TruncatedLattice, cfg, seed: int | None = None):
+    """The one input-scale fit of the learner and client_round: zeta, as
+    fit_scale (or the heuristic, per cfg.overload_mode) finds it under the
+    probe stream rooted at seed (None: cfg.seed's measurement probe), and
+    d zeta / d gen.  client_round passes the experiment config as cfg.
 
     zeta is the overload root of one probe block (see fit_scale): a root of
     that block's quadratic zeta^2 ||x||^2 + 2 zeta <x, d> + ||d||^2 =
@@ -522,8 +484,13 @@ def _pinned_scale(blocks, lat: TruncatedLattice, cfg: LearnerConfig, tag=_TAG_ME
     the ceiling, all-zero data) does not move with gen.
     """
     gen = lat.gen
-    fit_blocks, target = _scale_fit_set(blocks, cfg)
-    u = _stream_coords(derive_seed(cfg.seed, tag), fit_blocks.shape[0], gen.shape[0])
+    fit_blocks, target = blocks, cfg.target_overload
+    if cfg.overload_mode == "heuristic_minus1" and blocks.shape[0] >= 10:
+        fit_blocks = _heuristic_survivors(blocks, cfg.heuristic_filter_sigma)
+        target = cfg.heuristic_target
+    if seed is None:
+        seed = derive_seed(cfg.seed, _TAG_MEASURE_PROBE)
+    u = _coords(seed, fit_blocks.shape[0], gen.shape[0])
     d, fold = _fold_dithers(u, gen, lat.inv)
     zeta, p = _fit_scale_pinned(fit_blocks, lat.gamma, d, target)
     if p < 0:
@@ -575,20 +542,10 @@ def _measured_mse_grad(
     """
     raw, cache = _forward_cached(theta, lattice_dim)
     zeta, dzeta = _pinned_scale(blocks, lat, cfg)
-    # Rows of repetition rep at rep * m: the batch's m blocks under each
-    # measurement dither stream, the blocks broadcast rather than tiled.
-    x = blocks[batch_ids]
-    stacked = (_MEASURE_REPS, *x.shape)
-    u = _measure_coords(cfg.seed, blocks.shape[0], lattice_dim)[:, batch_ids]
-    u = u.reshape(-1, lattice_dim)
-    d, fold = _fold_dithers(u, gen, lat.inv)
-    idx = quantize_batch(lat, (zeta * x + d.reshape(stacked)).reshape(d.shape))
-    a = lat.index_set[idx] + fold - u  # reconstruction (codeword - d) / zeta == gen @ a / zeta
-    rec_scaled = a @ gen.T
-    e = (x - (rec_scaled / zeta).reshape(stacked)).reshape(d.shape)
+    e, a = _measured_rows(blocks, batch_ids, lat, zeta, cfg.seed)
     loss = float(np.einsum("ij,ij->", e, e)) / _MEASURE_REPS
     dgen = -2.0 / zeta * (e.T @ a)
-    dgen += 2.0 / zeta**2 * float(np.einsum("ij,ij->", e, rec_scaled)) * dzeta
+    dgen += 2.0 / zeta**2 * float(np.einsum("ij,ij->", e, a @ gen.T)) * dzeta
     dgen /= _MEASURE_REPS
 
     # gen = c * raw with c = gamma / ||raw l*||, so with p = gen @ l*,
@@ -635,8 +592,9 @@ def online_lattice_learning(
     geometry mid-training reverts to the last valid weights and shrinks the
     step size; after three reversions the loop aborts, measures the weights
     each completed epoch ended with, and the best of them and the
-    pre-training weights wins.  The emitted lattice is the one its weights
-    were measured under, so emission never normalizes again.
+    pre-training weights wins.  The emitted lattice and input scale are the
+    ones its weights were measured under (the measurement probe's zeta), so
+    emission neither normalizes nor fits a scale again.
     """
     if cfg.loss_kind == "task" and objective is None:
         raise ValueError("task loss requires a client objective")
@@ -649,7 +607,7 @@ def online_lattice_learning(
     reversions = 0
     aborted = False
 
-    # (measured distortion, the codebook measured under them, weights)
+    # (measured distortion, the codebook and zeta measured under them, weights)
     start = (*_measure(theta0, dim, blocks, cfg), theta0)
     epoch_ends = []
 
@@ -671,10 +629,8 @@ def online_lattice_learning(
                     # The batch's scale fit and dithers, as fit_scale and
                     # dithers_at draw them, folded with the codebook's inverse.
                     batch = blocks[batch_ids]
-                    fit_blocks, target = _scale_fit_set(batch, cfg)
                     seed = derive_seed(cfg.seed, _TAG_BATCH_PROBE, epoch, b)
-                    probe, _ = _fold_dithers(_coords(seed, fit_blocks.shape[0], dim), gen, lat.inv)
-                    zeta, _ = _fit_scale_pinned(fit_blocks, lat.gamma, probe, target)
+                    zeta, _ = _pinned_scale(batch, lat, cfg, seed)
                     seed = derive_seed(cfg.seed, _TAG_BATCH_DITHER, epoch, b)
                     d, _ = _fold_dithers(_coords(seed, batch.shape[0], dim), gen, lat.inv)
                     _, dtheta = _lattice_grad(
@@ -698,14 +654,12 @@ def online_lattice_learning(
         try:
             return (*_measure(weights, dim, blocks, cfg), weights)
         except (GeometryError, ResourceLimitError):
-            return math.inf, None, weights
+            return math.inf, None, None, weights
 
     if aborted:
         checkpoints = [start] + [checkpoint(weights) for weights in epoch_ends]
-        _, lat, theta_final = min(checkpoints, key=lambda c: c[0])
+        _, lat, zeta, theta_final = min(checkpoints, key=lambda c: c[0])
     else:
         final = checkpoint(theta)
-        _, lat, theta_final = final if final[0] <= start[0] else start
-
-    zeta, _ = _pinned_scale(blocks, lat, cfg, _TAG_EMIT_PROBE)
+        _, lat, zeta, theta_final = final if final[0] <= start[0] else start
     return LearnedLattice(gen=lat.gen, zeta=zeta, theta=theta_final.copy())
