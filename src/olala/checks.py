@@ -20,13 +20,14 @@ from .lattice import (
     GEN_A2,
     GEN_D2,
     GEN_HEXAGONAL,
+    _cube_search,
     build_lattice,
     check_generator,
     count_codewords_at_most,
     kth_norm,
-    nearest_point_batch,
+    quantize_batch,
 )
-from .sdq import dithers_at, second_moment
+from .sdq import _fold_dithers, dithers_at, second_moment
 
 
 @dataclass
@@ -180,15 +181,24 @@ def _ball_samples(dim: int, radius: float, seed: int, count: int) -> np.ndarray:
     return z / norms * (radius * r[:, None])
 
 
-def _sdq_errors(gen, gamma, xs, dithers, require_no_overload: bool):
-    """Encode/decode through the truncated codebook; returns errors.
+def _dithered_points(gen: np.ndarray, inv: np.ndarray, xs: np.ndarray, seed: int):
+    """The dithers d that dithers_at(seed, gen, 0, len(xs)) draws, and the
+    coefficient vectors nearest_point_batch(gen, xs + d) returns, bit for
+    bit, for a validated generator gen with inverse inv."""
+    dim = gen.shape[0]
+    u = rng.stream_unit_block(seed, 0, xs.shape[0] * dim).reshape(-1, dim)
+    d = _fold_dithers(u, gen, inv)[0]
+    return d, _cube_search(gen, inv, xs + d)[0]
+
+
+def _sdq_errors(gen, inv, gamma, xs, seed, require_no_overload: bool):
+    """Encode/decode xs under the dithers of the stream rooted at seed
+    through the truncated codebook; returns errors and overload fraction.
 
     In the non-overloaded regime the truncated choice equals the
     infinite-lattice nearest point, which we verify explicitly.
     """
-    lat = build_lattice(gen, gamma)
-    y = xs + dithers
-    l_inf = nearest_point_batch(gen, y)
+    dithers, l_inf = _dithered_points(gen, inv, xs, seed)
     pts = l_inf @ gen.T
     inside = np.linalg.norm(pts, axis=1) <= gamma + 1e-12
     if require_no_overload and not inside.all():
@@ -198,10 +208,8 @@ def _sdq_errors(gen, gamma, xs, dithers, require_no_overload: bool):
     if inside.all():
         rec = pts - dithers
     else:
-        from .lattice import quantize_batch
-
-        idx = quantize_batch(lat, y)
-        rec = lat.codebook[idx] - dithers
+        lat = build_lattice(gen, gamma)
+        rec = lat.codebook[quantize_batch(lat, xs + dithers)] - dithers
     return rec - xs, float(np.mean(~inside))
 
 
@@ -235,8 +243,9 @@ def check_sdq_error_stats(
         if radius <= 0:
             raise ValueError("gamma too small for a non-overloaded input region")
     xs = _ball_samples(dim, radius, rng.derive_seed(seed, 21), n)
-    d = dithers_at(rng.derive_seed(seed, 22), gen, 0, n)
-    errors, overload_frac = _sdq_errors(gen, gamma, xs, d, not negative_control)
+    errors, overload_frac = _sdq_errors(
+        gen, np.linalg.inv(gen), gamma, xs, rng.derive_seed(seed, 22), not negative_control
+    )
 
     mean_e = errors.mean(axis=0)
     se_e = errors.std(axis=0) / math.sqrt(n)
@@ -362,11 +371,9 @@ def check_distortion_bound(
         dirs = problem.noise_dirs(u, rng.derive_seed(seed, 30), n)
         ghat = g_full[u] + problem.sigma_users[u] * dirs
         blocks = ghat.reshape(n * blocks_per, dim)
-        d = dithers_at(rng.derive_seed(seed, 31, u), gen, 0, n * blocks_per)
-        y = blocks + d
-        l_inf = nearest_point_batch(gen, y)
+        d, l_inf = _dithered_points(gen, np.linalg.inv(gen), blocks, rng.derive_seed(seed, 31, u))
         pts = l_inf @ gen.T
-        gamma_u = 3.0 * float(np.linalg.norm(y, axis=1).max())
+        gamma_u = 3.0 * float(np.linalg.norm(blocks + d, axis=1).max())
         if not (np.linalg.norm(pts, axis=1) <= gamma_u).all():
             raise RuntimeError("overload in distortion-bound check harness")
         rec = (pts - d).reshape(n, m)
@@ -436,6 +443,8 @@ def check_convergence_rate(
     stay under the explicit bound at every logged round."""
     m = problem.dim
     n_users = problem.n_users
+    gens = [check_generator(g) for g in gens]
+    invs = [np.linalg.inv(g) for g in gens]
     dim = gens[0].shape[0]
     if m % dim != 0:
         raise ValueError("problem dim must be a multiple of the lattice dim")
@@ -471,9 +480,7 @@ def check_convergence_rate(
             dirs = problem.noise_dirs(u, rng.derive_seed(seed, 41, t), n_seeds)
             ghat = g + problem.sigma_users[u] * dirs
             blocks = ghat.reshape(n_seeds * blocks_per, dim)
-            d = dithers_at(rng.derive_seed(seed, 42, t, u), gens[u], 0, blocks.shape[0])
-            y = blocks + d
-            l_inf = nearest_point_batch(gens[u], y)
+            d, l_inf = _dithered_points(gens[u], invs[u], blocks, rng.derive_seed(seed, 42, t, u))
             pts = l_inf @ gens[u].T
             if not (np.linalg.norm(pts, axis=1) <= gamma_u).all():
                 raise RuntimeError("overload in convergence check harness")

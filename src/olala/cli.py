@@ -49,8 +49,6 @@ def _resolve_config(args) -> ExperimentConfig:
             except ValueError:
                 raise ConfigError(f"master_seed: {SEED_ENV_VAR}={env!r} is not an integer")
     if args.parallel is not None:
-        if args.parallel < 1:
-            raise ConfigError(f"parallel: must be >= 1, got {args.parallel}")
         cfg.parallel = args.parallel
     cfg.validate()
     return cfg

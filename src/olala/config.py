@@ -16,52 +16,6 @@ from .lattice import _ENUM_CAP_DEFAULT
 from .learning import LOSS_KINDS
 from .models import MODEL_KINDS, ModelArch
 
-# File/override key -> (dataclass field, type tag). Types: int, float, str,
-# bool, lr (float or "auto").
-CONFIG_KEYS = {
-    "model": ("model", "str"),
-    "dataset": ("dataset", "str"),
-    "U": ("n_users", "int"),
-    "L": ("lattice_dim", "int"),
-    "R": ("rate", "float"),
-    "rounds": ("rounds", "int"),
-    "local_steps": ("local_steps", "int"),
-    "adapt_every": ("adapt_every", "int"),
-    "quantizer": ("quantizer", "str"),
-    "loss_kind": ("loss_kind", "str"),
-    "model_lr": ("model_lr", "float"),
-    "lattice_lr": ("lattice_lr", "lr"),
-    "lattice_epochs": ("lattice_epochs", "int"),
-    "lattice_batches": ("lattice_batches", "int"),
-    "overload_mode": ("overload_mode", "str"),
-    "target_overload": ("target_overload", "float"),
-    "heuristic_target": ("heuristic_target", "float"),
-    "heuristic_filter_sigma": ("heuristic_filter_sigma", "float"),
-    "include_zeta_bits": ("include_zeta_bits", "bool"),
-    "reset_theta_each_round": ("reset_theta_each_round", "bool"),
-    "master_seed": ("master_seed", "int"),
-    "n_classes": ("n_classes", "int"),
-    "synthetic_train_size": ("synthetic_train_size", "int"),
-    "synthetic_test_size": ("synthetic_test_size", "int"),
-    "synthetic_features": ("synthetic_features", "int"),
-    "synthetic_noise": ("synthetic_noise", "float"),
-    "train_images": ("train_images", "str"),
-    "train_labels": ("train_labels", "str"),
-    "test_images": ("test_images", "str"),
-    "test_labels": ("test_labels", "str"),
-    "mlp_hidden": ("mlp_hidden", "str"),
-    "parallel": ("parallel", "int"),
-    "verbosity": ("verbosity", "int"),
-    "rates": ("rates", "str"),
-    "quantizers": ("quantizers", "str"),
-    "check_sdq_samples": ("check_sdq_samples", "int"),
-    "check_distortion_trials": ("check_distortion_trials", "int"),
-    "check_convergence_rounds": ("check_convergence_rounds", "int"),
-    "check_convergence_seeds": ("check_convergence_seeds", "int"),
-    "check_gamma_samples": ("check_gamma_samples", "int"),
-}
-
-
 @dataclass
 class ExperimentConfig:
     """All experiment knobs; defaults give a small synthetic run."""
@@ -206,6 +160,17 @@ class ExperimentConfig:
                 bad("quantizers", f"unknown quantizer {q!r}")
 
 
+# File/override key -> (dataclass field, type tag): one key per field but
+# input_dim, named after the field except for the short forms below.  Types
+# are the fields' annotations, and lr (float or "auto") for lattice_lr.
+_SHORT_KEYS = {"n_users": "U", "lattice_dim": "L", "rate": "R"}
+CONFIG_KEYS = {
+    _SHORT_KEYS.get(f.name, f.name): (f.name, "lr" if f.name == "lattice_lr" else f.type)
+    for f in fields(ExperimentConfig)
+    if f.name != "input_dim"
+}
+
+
 def _coerce(key: str, kind: str, text: str):
     text = text.strip()
     try:
@@ -271,10 +236,9 @@ def parse_config(
 def config_defaults_text() -> str:
     """Render every key with its default, for --help and the README."""
     cfg = ExperimentConfig()
-    by_field = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     lines = []
     for key, (field_name, kind) in CONFIG_KEYS.items():
-        default = by_field[field_name]
+        default = getattr(cfg, field_name)
         if kind == "lr" and default is None:
             default = "auto"
         lines.append(f"{key} = {default}")

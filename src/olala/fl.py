@@ -11,6 +11,7 @@ depend on scheduling or on the --parallel setting.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -385,24 +386,20 @@ def run_fl(cfg) -> FlResult:
 
     records: list[RoundRecord] = []
     lattice_log: list[dict] = []
-    pool = None
-    try:
-        if cfg.parallel > 1 and cfg.n_users > 1:
-            pool = ProcessPoolExecutor(max_workers=min(cfg.parallel, cfg.n_users))
+    workers = min(cfg.parallel, cfg.n_users)
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        run_clients = map if pool is None else pool.map
         for t in range(cfg.rounds):
-            if pool is not None:
-                payloads = list(
-                    pool.map(client_round, clients, [w] * len(clients),
-                             [t] * len(clients), [cfg] * len(clients))
-                )
-                # Parallel workers mutate copies; carry learner state back.
-                for c, p in zip(clients, payloads):
-                    if p.theta is not None:
-                        c.net = PriorNet(cfg.lattice_dim, p.theta.copy())
-                    if p.gen is not None:
-                        c.gen = p.gen
-            else:
-                payloads = [client_round(c, w, t, cfg) for c in clients]
+            payloads = list(
+                run_clients(client_round, clients, [w] * len(clients),
+                            [t] * len(clients), [cfg] * len(clients))
+            )
+            # Parallel workers mutate copies; carry learner state back.
+            for c, p in zip(clients, payloads):
+                if p.theta is not None:
+                    c.net = PriorNet(cfg.lattice_dim, p.theta.copy())
+                if p.gen is not None:
+                    c.gen = p.gen
             w = server_round(payloads, w, {c.uid: c.seed_root for c in clients}, t, cfg.n_users)
             acc = evaluate(arch, w, test)
             dists = [p.distortion for p in payloads]
@@ -428,9 +425,6 @@ def run_fl(cfg) -> FlResult:
                             "codebook_size": int(p.codebook_size),
                         }
                     )
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return FlResult(arch=arch, params=w, records=records, lattice_log=lattice_log)
 
 
@@ -470,11 +464,17 @@ def load_model(path: str) -> tuple[ModelArch, np.ndarray]:
         blob = fh.read()
     if blob[:4] != _MODEL_MAGIC:
         raise ValueError(f"{path}: not a model file")
-    kind_code, n_widths = struct.unpack_from("<II", blob, 4)
-    widths = struct.unpack_from(f"<{n_widths}I", blob, 12)
-    (m,) = struct.unpack_from("<Q", blob, 12 + 4 * n_widths)
-    params = np.frombuffer(blob, dtype="<f8", offset=20 + 4 * n_widths).copy()
-    if params.size != m:
+    try:
+        kind_code, n_widths = struct.unpack_from("<II", blob, 4)
+        widths = struct.unpack_from(f"<{n_widths}I", blob, 12)
+        (m,) = struct.unpack_from("<Q", blob, 12 + 4 * n_widths)
+    except struct.error:
+        raise ValueError(f"{path}: model header cut short") from None
+    kinds = {v: k for k, v in _MODEL_KIND_CODES.items()}
+    if kind_code not in kinds:
+        raise ValueError(f"{path}: unknown model kind code {kind_code}")
+    offset = 20 + 4 * n_widths
+    if len(blob) - offset != 8 * m:
         raise ValueError(f"{path}: parameter count mismatch")
-    kind = {v: k for k, v in _MODEL_KIND_CODES.items()}[kind_code]
-    return ModelArch(kind, tuple(int(wd) for wd in widths)), params
+    params = np.frombuffer(blob, dtype="<f8", offset=offset).copy()
+    return ModelArch(kinds[kind_code], tuple(int(wd) for wd in widths)), params

@@ -41,6 +41,7 @@ from .lattice import (
     quantize_batch,
     unpack_generator,
 )
+from .models import ModelArch, init_params
 from .rng import derive_seed, stream_unit_block
 from .sdq import (
     DitherStream,
@@ -153,15 +154,9 @@ def init_prior_net(
     warm_start = check_generator(warm_start)
     if warm_start.shape[0] != lattice_dim:
         raise ValueError("warm_start shape does not match lattice_dim")
-    parts = []
-    draw_index = 0
-    for fi, fo in _layer_sizes(lattice_dim):
-        bound = 1.0 / math.sqrt(fi)
-        u = stream_unit_block(seed, draw_index, fi * fo)
-        draw_index += fi * fo
-        parts.append((2.0 * u - 1.0) * bound)
-        parts.append(np.zeros(fo))
-    theta = np.concatenate(parts)
+    h = PRIOR_HIDDEN_WIDTH
+    arch = ModelArch("mlp", (PRIOR_INPUT_WIDTH, h, h, lattice_dim * lattice_dim))
+    theta = init_params(arch, seed)
     net = PriorNet(lattice_dim, theta)
     raw, _ = _forward_cached(theta, lattice_dim)
     # Output bias lives in the trailing L^2 slots of theta.
