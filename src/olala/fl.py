@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .data import Dataset, load_idx_dataset, partition_dataset, synthetic_dataset
-from .errors import NumericError, ProtocolError
+from .errors import ProtocolError
 from .lattice import (
     GEN_A2,
     GEN_D2,
@@ -40,7 +40,7 @@ from .learning import (
     normalize_generator,
     online_lattice_learning,
 )
-from .models import ModelArch, accuracy, init_params, loss_and_grad, make_objective
+from .models import ModelArch, _sgd_steps, accuracy, init_params, make_objective
 from .sdq import (
     DitherStream,
     SdqCodec,
@@ -83,6 +83,11 @@ def bits_accounting(m: int, rate: float, lattice_dim: int, include_zeta: bool = 
     return bits + 64 if include_zeta else bits
 
 
+# Local SGD steps whose rows are gathered at once: about 6 MB of 784-pixel
+# float64 rows, one gather for every default-sized call.
+_GATHER_STEPS = 1024
+
+
 def local_train(
     arch: ModelArch,
     params: np.ndarray,
@@ -94,20 +99,22 @@ def local_train(
 ) -> np.ndarray:
     """Single-sample SGD for `steps` steps; returns the update h = w' - w.
 
-    The caller's parameter vector is untouched; sample indices come from the
-    counter stream rooted at seed.
+    The caller's parameter vector is untouched; step s trains on row
+    int(stream_unit(seed, s) * n) of the n-row shard.  Steps run one sample
+    each on layer views prepared once (models._sgd_steps), bit-identical to
+    descending loss_and_grad on that row.  Rows are gathered _GATHER_STEPS
+    steps at a time, so memory stays bounded for any step count.
     """
     if steps < 1:
         raise ValueError("need at least one local step")
     n = shard_y.shape[0]
+    if n == 0:
+        raise ValueError("cannot train on an empty shard")
     w = params.copy()
-    for s in range(steps):
-        i = int(rng.stream_unit(seed, s) * n)
-        try:
-            _, grad = loss_and_grad(arch, w, shard_x[i : i + 1], shard_y[i : i + 1])
-        except NumericError as exc:
-            raise NumericError(f"non-finite loss at local step {s}") from exc
-        w -= eta * grad
+    for start in range(0, steps, _GATHER_STEPS):
+        count = min(_GATHER_STEPS, steps - start)
+        rows = (rng.stream_unit_block(seed, start, count) * n).astype(np.int64)
+        _sgd_steps(arch, w, shard_x[rows], shard_y[rows], eta, start)
     return w - params
 
 
@@ -476,5 +483,14 @@ def load_model(path: str) -> tuple[ModelArch, np.ndarray]:
     offset = 20 + 4 * n_widths
     if len(blob) - offset != 8 * m:
         raise ValueError(f"{path}: parameter count mismatch")
+    try:
+        arch = ModelArch(kinds[kind_code], tuple(int(wd) for wd in widths))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if m != arch.n_params:
+        raise ValueError(
+            f"{path}: {arch.kind} widths {arch.widths} need {arch.n_params} parameters, "
+            f"the file holds {m}"
+        )
     params = np.frombuffer(blob, dtype="<f8", offset=offset).copy()
-    return ModelArch(kinds[kind_code], tuple(int(wd) for wd in widths)), params
+    return arch, params

@@ -6,6 +6,7 @@ plain array and lets the codec treat every model identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,9 @@ def init_params(arch: ModelArch, seed: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _unpack(arch: ModelArch, params: np.ndarray):
+def _layers(arch: ModelArch, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views of each layer of a flat vector, W shaped (fan_in, fan_out);
+    writing through a view writes the vector."""
     layers = []
     pos = 0
     for fi, fo in zip(arch.widths[:-1], arch.widths[1:]):
@@ -66,7 +69,7 @@ def _unpack(arch: ModelArch, params: np.ndarray):
 def logits(arch: ModelArch, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Forward pass; x is (n, d) or (d,)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    layers = _unpack(arch, params)
+    layers = _layers(arch, params)
     a = x
     for w, b in layers[:-1]:
         a = np.maximum(a @ w + b, 0.0)
@@ -87,7 +90,7 @@ def loss_and_grad(
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     n = x.shape[0]
-    layers = _unpack(arch, params)
+    layers = _layers(arch, params)
     acts = [x]
     a = x
     for w, b in layers[:-1]:
@@ -118,6 +121,60 @@ def loss_and_grad(
         flat.append(dw.ravel())
         flat.append(db)
     return loss, np.concatenate(flat)
+
+
+def _sgd_steps(
+    arch: ModelArch,
+    w: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    eta: float,
+    first_step: int,
+) -> None:
+    """Single-sample SGD on w in place, one step per row of (x, y) in order.
+
+    Each step subtracts eta times loss_and_grad(arch, w, x[s:s+1],
+    y[s:s+1])'s gradient, bit for bit: the same (1, k) @ (k, n) forward and
+    dz @ W.T backward products.  A one-row weight gradient is the outer
+    product a_k dz_n and a bias gradient is dz, with no sum; loss_and_grad's
+    matmul and row sum form 0 + each, which differs only in turning -0.0
+    into +0.0, so one `+= 0.0` on the gradient buffer per step does the
+    same.  The layer views of w and of that buffer are made once per call,
+    and x is converted to float64 once.  The first non-finite loss raises
+    NumericError naming its step as first_step + s.
+    """
+    layers = _layers(arch, w)
+    grad = np.empty_like(w)
+    grads = _layers(arch, grad)
+    w_out, b_out = layers[-1]
+    x = np.asarray(x, dtype=np.float64)
+    for s, label in enumerate(np.asarray(y, dtype=np.int64).tolist()):
+        a = x[s : s + 1]
+        acts = [a]
+        for wl, bl in layers[:-1]:
+            a = a @ wl
+            a += bl
+            np.maximum(a, 0.0, out=a)
+            acts.append(a)
+        p = a @ w_out
+        p += b_out
+        p -= p.max()
+        np.exp(p, out=p)
+        p /= p.sum()
+        if not math.isfinite(math.log(p[0, label] + 1e-300)):
+            raise NumericError(f"non-finite loss at local step {first_step + s}")
+        p[0, label] -= 1.0
+        dz = p
+        for li in range(len(layers) - 1, -1, -1):
+            gw, gb = grads[li]
+            np.multiply(acts[li].T, dz, out=gw)
+            gb[...] = dz[0]
+            if li > 0:
+                dz = dz @ layers[li][0].T
+                dz *= acts[li] > 0
+        grad += 0.0
+        grad *= eta
+        w -= grad
 
 
 def predict(arch: ModelArch, params: np.ndarray, x: np.ndarray) -> np.ndarray:

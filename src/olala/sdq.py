@@ -149,11 +149,14 @@ def second_moment(
     """Monte-Carlo per-dimension second moment of the basic cell.
 
     Estimates (1/L) E||d||^2 for d uniform over the Voronoi cell of the
-    origin; returns (estimate, standard error of the mean).
+    origin; returns (estimate, standard error of the mean).  The dithers are
+    dithers_at(seed, gen, 0, n_samples), drawn 2^17 at a time from one
+    validated generator and its inverse.
     """
     if n_samples < 10**3:
         raise ValueError("need at least 1e3 samples for a usable estimate")
     gen = check_generator(gen)
+    inv = np.linalg.inv(gen)
     dim = gen.shape[0]
     total = 0.0
     total_sq = 0.0
@@ -161,7 +164,8 @@ def second_moment(
     chunk = 1 << 17
     while done < n_samples:
         take = min(chunk, n_samples - done)
-        d = dithers_at(seed, gen, done, take)
+        u = rng.stream_unit_block(seed, done * dim, take * dim).reshape(take, dim)
+        d = _fold_dithers(u, gen, inv)[0]
         s = np.einsum("ij,ij->i", d, d) / dim
         total += float(s.sum())
         total_sq += float((s * s).sum())

@@ -60,6 +60,24 @@ def test_blob_cut_inside_parameters_is_a_value_error(tmp_path, cut):
     assert str(info.value).startswith(path)
 
 
+def test_widths_that_do_not_fit_the_kind_name_the_file(tmp_path):
+    blob = bytearray(_model_blob(tmp_path))
+    struct.pack_into("<I", blob, 4, 1)  # mlp over a linear model's two widths
+    path = _load(tmp_path, bytes(blob))
+    with pytest.raises(ValueError, match="mlp model expects 4 widths, got \\(4, 3\\)") as info:
+        load_model(path)
+    assert str(info.value).startswith(path)
+
+
+def test_widths_that_disagree_with_the_parameter_count_are_rejected(tmp_path):
+    blob = bytearray(_model_blob(tmp_path))
+    struct.pack_into("<I", blob, 16, 4)  # widths (4, 4) need 20 parameters; 15 are stored
+    path = _load(tmp_path, bytes(blob))
+    with pytest.raises(ValueError, match="need 20 parameters, the file holds 15") as info:
+        load_model(path)
+    assert str(info.value).startswith(path)
+
+
 def test_intact_blob_still_loads(tmp_path):
     arch, params = load_model(_load(tmp_path, _model_blob(tmp_path)))
     assert arch == ModelArch("linear", (4, 3))

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import olala.lattice as lattice
+import olala.sdq as sdq
 from olala.errors import ProtocolError
 from olala.lattice import GEN_HEXAGONAL, build_lattice, nearest_point_batch, quantize
 from olala.sdq import (
@@ -183,6 +185,36 @@ def test_second_moment_quadratic_scaling():
 def test_second_moment_rejects_tiny_samples():
     with pytest.raises(ValueError):
         second_moment(np.eye(2), 10)
+
+
+def test_second_moment_validates_and_inverts_once_and_matches_chunked_dithers(monkeypatch):
+    gen, seed, chunk = GEN_HEXAGONAL, 17, 1 << 17
+    n = 2 * chunk + 1234
+    total = total_sq = 0.0
+    for start in range(0, n, chunk):
+        d = dithers_at(seed, gen, start, min(chunk, n - start))
+        s = np.einsum("ij,ij->i", d, d) / 2
+        total += float(s.sum())
+        total_sq += float((s * s).sum())
+    mean = total / n
+    expect = (mean, (max(total_sq / n - mean * mean, 0.0) / n) ** 0.5)
+
+    counts = {"check_generator": 0, "inv": 0}
+    real_check, real_inv = lattice.check_generator, np.linalg.inv
+
+    def counted_check(g):
+        counts["check_generator"] += 1
+        return real_check(g)
+
+    def counted_inv(a):
+        counts["inv"] += 1
+        return real_inv(a)
+
+    for mod in (lattice, sdq):
+        monkeypatch.setattr(mod, "check_generator", counted_check)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    assert second_moment(gen, n, seed) == expect
+    assert counts == {"check_generator": 1, "inv": 1}
 
 
 def test_fit_scale_zero_target_no_overload():
