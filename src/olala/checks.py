@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaincinv
 
 from . import rng
 from .lattice import (
@@ -27,7 +27,7 @@ from .lattice import (
     kth_norm,
     quantize_batch,
 )
-from .sdq import _fold_dithers, dithers_at, second_moment
+from .sdq import _coords, _fold_dithers, dithers_at, second_moment
 
 
 @dataclass
@@ -136,9 +136,7 @@ class StronglyConvexProblem:
         exactly sigma_u^2 and the noise is surely bounded, so the variance
         assumption holds with equality and overload can be excluded."""
         m = self.dim
-        u1 = rng.stream_unit_block(rng.derive_seed(seed, u, 1), 0, count * m)
-        u2 = rng.stream_unit_block(rng.derive_seed(seed, u, 2), 0, count * m)
-        z = np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
+        z = rng.normal_block(rng.derive_seed(seed, u, 1), rng.derive_seed(seed, u, 2), count * m)
         z = z.reshape(count, m)
         if m == 1:
             return np.sign(z) + (z == 0)
@@ -172,9 +170,8 @@ def make_problem(
 
 def _ball_samples(dim: int, radius: float, seed: int, count: int) -> np.ndarray:
     """Uniform samples in the Euclidean ball of the given radius."""
-    u1 = rng.stream_unit_block(rng.derive_seed(seed, 1), 0, count * dim)
-    u2 = rng.stream_unit_block(rng.derive_seed(seed, 2), 0, count * dim)
-    z = (np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)).reshape(count, dim)
+    z = rng.normal_block(rng.derive_seed(seed, 1), rng.derive_seed(seed, 2), count * dim)
+    z = z.reshape(count, dim)
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     r = rng.stream_unit_block(rng.derive_seed(seed, 3), 0, count) ** (1.0 / dim)
@@ -185,9 +182,7 @@ def _dithered_points(gen: np.ndarray, inv: np.ndarray, xs: np.ndarray, seed: int
     """The dithers d that dithers_at(seed, gen, 0, len(xs)) draws, and the
     coefficient vectors nearest_point_batch(gen, xs + d) returns, bit for
     bit, for a validated generator gen with inverse inv."""
-    dim = gen.shape[0]
-    u = rng.stream_unit_block(seed, 0, xs.shape[0] * dim).reshape(-1, dim)
-    d = _fold_dithers(u, gen, inv)[0]
+    d = _fold_dithers(_coords(seed, 0, xs.shape[0], gen.shape[0]), gen, inv)[0]
     return d, _cube_search(gen, inv, xs + d)[0]
 
 
@@ -277,7 +272,7 @@ def check_sdq_error_stats(
     exp_r = (e_counts + r_counts) * n_r / (n_e + n_r)
     chi2 = float((((e_counts - exp_e) ** 2) / exp_e + ((r_counts - exp_r) ** 2) / exp_r).sum())
     dof = int(keep.sum()) - 1
-    chi2_crit = float(stats.chi2.ppf(chi_quantile, dof))
+    chi2_crit = float(2.0 * gammaincinv(dof / 2, chi_quantile))  # the chi2(dof) quantile
 
     inequalities = [
         {

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import os
 import sys
@@ -76,7 +78,7 @@ def _do_run(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
 
 
 def _do_checks(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
-    # Imported here: the checks pull in scipy.stats, which run and sweep never use.
+    # Imported here: the checks pull in scipy.special, which run and sweep never use.
     from .checks import all_non_control_passed, run_all_checks
 
     reports = run_all_checks(cfg)
@@ -115,14 +117,10 @@ def _do_sweep(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-    if cfg.parallel > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.parallel, len(tasks))) as pool:
-            rows = list(pool.map(_sweep_entry, tasks))
-    else:
-        rows = [_sweep_entry(t) for t in tasks]
+    workers = min(cfg.parallel, len(tasks))
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        rows = list((map if pool is None else pool.map)(_sweep_entry, tasks))
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        import csv
-
         writer = csv.writer(fh)
         writer.writerow(["quantizer", "R", "final_accuracy", "final_snr_db"])
         for quantizer, rate, acc, snr in rows:

@@ -60,7 +60,7 @@ class ExperimentConfig:
     check_convergence_rounds: int = 2000
     check_convergence_seeds: int = 20
     check_gamma_samples: int = 200_000
-    input_dim: int = field(default=0, repr=False)  # resolved from the dataset
+    input_dim: int = field(default=0, repr=False)  # run_fl resolves it from the dataset
 
     def arch(self) -> ModelArch:
         d = self.input_dim or self.synthetic_features
@@ -158,6 +158,10 @@ class ExperimentConfig:
         for q in self.sweep_quantizers():
             if q not in QUANTIZER_KINDS:
                 bad("quantizers", f"unknown quantizer {q!r}")
+        for key, (name, kind) in CONFIG_KEYS.items():
+            value = getattr(self, name)
+            if kind in ("float", "lr") and value is not None and not math.isfinite(value):
+                bad(key, f"must be finite, got {value}")
 
 
 # File/override key -> (dataclass field, type tag): one key per field but

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PartitionError
-from .rng import derive_seed, stream_unit_block
+from .rng import derive_seed, normal_block, stream_permutation, stream_unit_block
 
 _IDX_DTYPES = {0x08: np.uint8, 0x09: np.int8, 0x0B: ">i2", 0x0C: ">i4", 0x0D: ">f4", 0x0E: ">f8"}
 
@@ -97,15 +97,10 @@ def synthetic_dataset(
     center_u = stream_unit_block(derive_seed(center_seed, 1), 0, n_classes * n_features)
     centers = 0.2 + 0.6 * center_u.reshape(n_classes, n_features)
     labels = np.arange(n_samples, dtype=np.int64) % n_classes
-    # Box-Muller on counter-stream uniforms keeps the corpus reproducible
-    # without depending on any library generator's stream layout.
-    u1 = stream_unit_block(derive_seed(seed, 2), 0, n_samples * n_features)
-    u2 = stream_unit_block(derive_seed(seed, 3), 0, n_samples * n_features)
-    normal = np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
+    normal = normal_block(derive_seed(seed, 2), derive_seed(seed, 3), n_samples * n_features)
     feats = centers[labels] + noise * normal.reshape(n_samples, n_features)
     np.clip(feats, 0.0, 1.0, out=feats)
-    order_u = stream_unit_block(derive_seed(seed, 4), 0, n_samples)
-    order = np.argsort(order_u, kind="stable")
+    order = stream_permutation(derive_seed(seed, 4), n_samples)
     return Dataset(feats[order], labels[order], n_classes, source="synthetic")
 
 
@@ -131,8 +126,7 @@ def partition_dataset(ds: Dataset, n_users: int, seed: int = 0) -> list[np.ndarr
         if not users:
             continue
         idx = np.flatnonzero(ds.labels == c)
-        shuffle_u = stream_unit_block(derive_seed(seed, 5, c), 0, idx.size)
-        idx = idx[np.argsort(shuffle_u, kind="stable")]
+        idx = idx[stream_permutation(derive_seed(seed, 5, c), idx.size)]
         for part, u in zip(np.array_split(idx, len(users)), users):
             shards[u].extend(part.tolist())
     return [np.array(sorted(s), dtype=np.int64) for s in shards]

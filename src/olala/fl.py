@@ -17,7 +17,7 @@ import json
 import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -343,8 +343,14 @@ def _build_dataset(cfg) -> tuple[Dataset, Dataset]:
 def run_fl(cfg) -> FlResult:
     """Execute the full experiment described by cfg; see config.py for knobs."""
     cfg.validate()
-    arch = cfg.arch()
     train, test = _build_dataset(cfg)
+    if test.features.shape[1] != train.features.shape[1]:
+        raise ValueError(
+            f"test features have width {test.features.shape[1]}, "
+            f"train features {train.features.shape[1]}"
+        )
+    cfg = replace(cfg, input_dim=train.features.shape[1])
+    arch = cfg.arch()
     shards = partition_dataset(train, cfg.n_users, seed=rng.derive_seed(cfg.master_seed, rng.TAG_DATA, 1))
     w = init_params(arch, rng.derive_seed(cfg.master_seed, rng.TAG_MODEL_INIT))
 

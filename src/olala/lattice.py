@@ -28,7 +28,7 @@ _ENUM_CHUNK = 1 << 18
 # codebook scan: 2^14 to 2^18 time alike, while chunks of 2^18 rows took 2.3
 # times as long and 90 times the memory on 100k rows at L=4.
 _SCORE_CHUNK = 1 << 16
-_GRID_CACHE_MAX = 1 << 14
+_CUBE_CACHE_MAX = 1 << 14
 
 # quantize_batch looks indices up once the codebook holds more than this many
 # offset cubes (5^L candidates each).  Median time per call, lookup vs scan,
@@ -50,7 +50,7 @@ _CERT_SLACK = 1e-9
 # memo answers the next queries of a slowly moving generator.
 _MEMO_WIDEN = 1.1
 
-_grid_cache: dict[tuple[int, int], np.ndarray] = {}
+_cube_cache: dict[int, np.ndarray] = {}
 # The last fresh enumeration (B, R, ls, sq); see _points_within.
 _memo: tuple[np.ndarray, float, np.ndarray, np.ndarray] | None = None
 
@@ -83,16 +83,15 @@ def _lex_block(block_ids: np.ndarray, side: int, dim: int, bound: int) -> np.nda
     return out
 
 
-def _full_grid(side: int, dim: int) -> np.ndarray:
-    """Whole lexicographic grid for small boxes (the offset cube is side 5),
-    cached: every learner step enumerates boxes of the same few sizes."""
-    key = (side, dim)
-    grid = _grid_cache.get(key)
-    if grid is None:
-        grid = _lex_block(np.arange(side**dim), side, dim, side // 2)
-        if side**dim <= _GRID_CACHE_MAX:
-            _grid_cache[key] = grid
-    return grid
+def _offset_cube(dim: int) -> np.ndarray:
+    """The offsets {-2..2}^L of every nearest-point search, in lexicographic
+    order, cached up to _CUBE_CACHE_MAX of them."""
+    cube = _cube_cache.get(dim)
+    if cube is None:
+        cube = _lex_block(np.arange(5**dim), 5, dim, 2)
+        if cube.shape[0] <= _CUBE_CACHE_MAX:
+            _cube_cache[dim] = cube
+    return cube
 
 
 @dataclass(frozen=True)
@@ -211,10 +210,7 @@ def _enumerate(gen: np.ndarray, bound: int, radius: float) -> tuple[np.ndarray, 
     kept_ls: list[np.ndarray] = []
     kept_sq: list[np.ndarray] = []
     for start in range(0, total, _ENUM_CHUNK):
-        if total <= _ENUM_CHUNK:
-            ls = _full_grid(side, dim)
-        else:
-            ls = _lex_block(np.arange(start, min(start + _ENUM_CHUNK, total)), side, dim, bound)
+        ls = _lex_block(np.arange(start, min(start + _ENUM_CHUNK, total)), side, dim, bound)
         pts = ls @ gen_t
         sq = np.einsum("ij,ij->i", pts, pts)
         ok = sq <= radius * radius
@@ -349,7 +345,7 @@ def _cube_search(
     nearest point with a squared-distance margin tau = _TIE_REL
     (||x|| + d)^2.
     """
-    cube = _full_grid(5, gen.shape[0])
+    cube = _offset_cube(gen.shape[0])
     cand = cube @ gen.T  # (K, L) lattice displacements of the cube offsets
     cand_sq = np.einsum("ij,ij->i", cand, cand)
     l0 = np.rint(xs @ inv.T).astype(np.int64)

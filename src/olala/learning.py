@@ -41,10 +41,11 @@ from .lattice import (
     quantize_batch,
     unpack_generator,
 )
-from .models import ModelArch, init_params
-from .rng import derive_seed, stream_unit_block
+from .models import ModelArch, _layers, init_params
+from .rng import derive_seed, stream_permutation
 from .sdq import (
     DitherStream,
+    _coords,
     _fit_scale_pinned,
     _fold_dithers,
     fit_scale,
@@ -66,13 +67,12 @@ _TAG_MEASURE_PROBE = 4
 _TAG_MEASURE_DITHER = 5
 
 
-def _layer_sizes(lattice_dim: int) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=None)
+def _prior_arch(lattice_dim: int) -> ModelArch:
+    """The prior net's layer widths; theta is laid out as models lays out
+    an mlp's flat parameters."""
     h = PRIOR_HIDDEN_WIDTH
-    return [(PRIOR_INPUT_WIDTH, h), (h, h), (h, lattice_dim * lattice_dim)]
-
-
-def _theta_size(lattice_dim: int) -> int:
-    return sum(fi * fo + fo for fi, fo in _layer_sizes(lattice_dim))
+    return ModelArch("mlp", (PRIOR_INPUT_WIDTH, h, h, lattice_dim * lattice_dim))
 
 
 @dataclass
@@ -88,7 +88,7 @@ class PriorNet:
     theta: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expect = _theta_size(self.lattice_dim)
+        expect = _prior_arch(self.lattice_dim).n_params
         if self.theta.shape != (expect,):
             raise ValueError(f"theta must have shape ({expect},), got {self.theta.shape}")
 
@@ -96,20 +96,8 @@ class PriorNet:
         return PriorNet(self.lattice_dim, self.theta.copy())
 
 
-def _unpack_theta(theta: np.ndarray, lattice_dim: int):
-    mats = []
-    pos = 0
-    for fi, fo in _layer_sizes(lattice_dim):
-        w = theta[pos : pos + fi * fo].reshape(fi, fo)
-        pos += fi * fo
-        b = theta[pos : pos + fo]
-        pos += fo
-        mats.append((w, b))
-    return mats
-
-
 def _forward_cached(theta: np.ndarray, lattice_dim: int):
-    (w1, b1), (w2, b2), (w3, b3) = _unpack_theta(theta, lattice_dim)
+    (w1, b1), (w2, b2), (w3, b3) = _layers(_prior_arch(lattice_dim), theta)
     a1 = np.tanh(w1.sum(axis=0) + b1)  # fixed all-ones input: s @ W1 == column sums
     a2 = np.tanh(a1 @ w2 + b2)
     out = a2 @ w3 + b3
@@ -125,19 +113,18 @@ def prior_forward(net: PriorNet) -> np.ndarray:
 
 
 def _backward(theta: np.ndarray, lattice_dim: int, cache, dout_flat: np.ndarray) -> np.ndarray:
-    (w1, b1), (w2, b2), (w3, b3) = _unpack_theta(theta, lattice_dim)
+    arch = _prior_arch(lattice_dim)
+    _, (w2, _), (w3, _) = _layers(arch, theta)
     a1, a2 = cache
-    dz3 = dout_flat
-    dw3 = np.outer(a2, dz3)
-    da2 = w3 @ dz3
-    dz2 = da2 * (1.0 - a2 * a2)
-    dw2 = np.outer(a1, dz2)
-    da1 = w2 @ dz2
-    dz1 = da1 * (1.0 - a1 * a1)
-    dw1 = np.tile(dz1, (PRIOR_INPUT_WIDTH, 1))  # input is all ones
-    return np.concatenate(
-        [dw1.ravel(), dz1, dw2.ravel(), dz2, dw3.ravel(), dz3]
-    )
+    dtheta = np.empty_like(theta)
+    (dw1, dz1), (dw2, dz2), (dw3, dz3) = _layers(arch, dtheta)
+    dz3[...] = dout_flat
+    np.outer(a2, dout_flat, out=dw3)
+    np.multiply(w3 @ dout_flat, 1.0 - a2 * a2, out=dz2)
+    np.outer(a1, dz2, out=dw2)
+    np.multiply(w2 @ dz2, 1.0 - a1 * a1, out=dz1)
+    dw1[...] = dz1  # input is all ones
+    return dtheta
 
 
 def init_prior_net(
@@ -154,9 +141,7 @@ def init_prior_net(
     warm_start = check_generator(warm_start)
     if warm_start.shape[0] != lattice_dim:
         raise ValueError("warm_start shape does not match lattice_dim")
-    h = PRIOR_HIDDEN_WIDTH
-    arch = ModelArch("mlp", (PRIOR_INPUT_WIDTH, h, h, lattice_dim * lattice_dim))
-    theta = init_params(arch, seed)
+    theta = init_params(_prior_arch(lattice_dim), seed)
     net = PriorNet(lattice_dim, theta)
     raw, _ = _forward_cached(theta, lattice_dim)
     # Output bias lives in the trailing L^2 slots of theta.
@@ -443,12 +428,6 @@ def _measured_rows(blocks, ids, lat: TruncatedLattice, zeta: float, seed: int):
     return e, a
 
 
-def _coords(seed: int, n_rows: int, dim: int) -> np.ndarray:
-    """Parallelepiped coordinates of dithers 0 .. n_rows-1 of a stream, the
-    u that dithers_at folds."""
-    return stream_unit_block(seed, 0, n_rows * dim).reshape(n_rows, dim)
-
-
 # The measurement streams are read at every step of a learning run, so they
 # are drawn once per run and kept read-only.
 @functools.lru_cache(maxsize=2)
@@ -456,7 +435,7 @@ def _measure_coords(seed: int, n_rows: int, dim: int) -> np.ndarray:
     """_coords of the _MEASURE_REPS measurement dither streams of a run's
     seed, stacked into shape (_MEASURE_REPS, n_rows, dim)."""
     u = np.stack(
-        [_coords(derive_seed(seed, _TAG_MEASURE_DITHER, rep), n_rows, dim)
+        [_coords(derive_seed(seed, _TAG_MEASURE_DITHER, rep), 0, n_rows, dim)
          for rep in range(_MEASURE_REPS)]
     )
     u.flags.writeable = False
@@ -485,7 +464,7 @@ def _pinned_scale(blocks, lat: TruncatedLattice, cfg, seed: int | None = None):
         target = cfg.heuristic_target
     if seed is None:
         seed = derive_seed(cfg.seed, _TAG_MEASURE_PROBE)
-    u = _coords(seed, fit_blocks.shape[0], gen.shape[0])
+    u = _coords(seed, 0, fit_blocks.shape[0], gen.shape[0])
     d, fold = _fold_dithers(u, gen, lat.inv)
     zeta, p = _fit_scale_pinned(fit_blocks, lat.gamma, d, target)
     if p < 0:
@@ -607,8 +586,7 @@ def online_lattice_learning(
     epoch_ends = []
 
     for epoch in range(cfg.epochs):
-        perm_u = stream_unit_block(derive_seed(cfg.seed, _TAG_SHUFFLE, epoch), 0, n_blocks)
-        order = np.argsort(perm_u, kind="stable")
+        order = stream_permutation(derive_seed(cfg.seed, _TAG_SHUFFLE, epoch), n_blocks)
         for b, batch_ids in enumerate(np.array_split(order, cfg.batches)):
             if batch_ids.size == 0:
                 continue
@@ -627,7 +605,7 @@ def online_lattice_learning(
                     seed = derive_seed(cfg.seed, _TAG_BATCH_PROBE, epoch, b)
                     zeta, _ = _pinned_scale(batch, lat, cfg, seed)
                     seed = derive_seed(cfg.seed, _TAG_BATCH_DITHER, epoch, b)
-                    d, _ = _fold_dithers(_coords(seed, batch.shape[0], dim), gen, lat.inv)
+                    d, _ = _fold_dithers(_coords(seed, 0, batch.shape[0], dim), gen, lat.inv)
                     _, dtheta = _lattice_grad(
                         theta, dim, batch, lat, zeta, cfg.loss_kind, d, w_t, objective, pad
                     )

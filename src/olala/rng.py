@@ -49,6 +49,21 @@ def stream_unit_block(seed: int, start: int, count: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
+def normal_block(seed_a: int, seed_b: int, count: int) -> np.ndarray:
+    """count standard normals by Box-Muller from uniforms 0 .. count-1 of
+    the streams rooted at seed_a (radius) and seed_b (angle), so a corpus
+    drawn from them does not depend on any library generator's layout."""
+    u1 = stream_unit_block(seed_a, 0, count)
+    u2 = stream_unit_block(seed_b, 0, count)
+    return np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def stream_permutation(seed: int, count: int) -> np.ndarray:
+    """A seeded shuffle of range(count): the stable argsort of uniforms
+    0 .. count-1 of the stream rooted at seed."""
+    return np.argsort(stream_unit_block(seed, 0, count), kind="stable")
+
+
 def derive_seed(root: int, *parts: int) -> int:
     """Derive a child seed from a root and a tuple of integer labels.
 

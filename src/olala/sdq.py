@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import GeometryError, ProtocolError
+from .errors import ProtocolError
 from .lattice import TruncatedLattice, _cube_search, check_generator, quantize_batch
 
 _SCALE_FLOOR = 1e-9
@@ -60,9 +60,14 @@ def dithers_at(seed: int, gen: np.ndarray, start: int, count: int) -> np.ndarray
     measure-preserving, so the result is uniform over the basic cell.
     """
     gen = check_generator(gen)
-    dim = gen.shape[0]
-    u = rng.stream_unit_block(seed, start * dim, count * dim).reshape(count, dim)
-    return _fold_dithers(u, gen, np.linalg.inv(gen))[0]
+    return _fold_dithers(_coords(seed, start, count, gen.shape[0]), gen, np.linalg.inv(gen))[0]
+
+
+def _coords(seed: int, start: int, count: int, dim: int) -> np.ndarray:
+    """Parallelepiped coordinates u of dithers start .. start+count-1 of the
+    stream rooted at seed, one row of dim consecutive uniforms per dither:
+    the layout client and server share, and the u that dithers_at folds."""
+    return rng.stream_unit_block(seed, start * dim, count * dim).reshape(count, dim)
 
 
 def _fold_dithers(u: np.ndarray, gen: np.ndarray, inv: np.ndarray):
@@ -124,10 +129,8 @@ def sdq_encode(codec: SdqCodec, x: np.ndarray, d: np.ndarray) -> int:
 
 
 def sdq_decode(codec: SdqCodec, index: int, d: np.ndarray) -> np.ndarray:
-    """Reconstruct: (codeword - dither) / zeta."""
-    if not 0 <= index < codec.lattice.size:
-        raise ProtocolError(f"codebook index {index} out of range [0, {codec.lattice.size})")
-    return (codec.lattice.codebook[index] - np.asarray(d, dtype=np.float64)) / codec.zeta
+    """Reconstruct: (codeword - dither) / zeta, one row of decode_blocks."""
+    return decode_blocks(codec, np.array([index]), np.asarray(d, dtype=np.float64)[None])[0]
 
 
 def encode_blocks(codec: SdqCodec, blocks: np.ndarray, dithers: np.ndarray) -> np.ndarray:
@@ -136,10 +139,13 @@ def encode_blocks(codec: SdqCodec, blocks: np.ndarray, dithers: np.ndarray) -> n
 
 
 def decode_blocks(codec: SdqCodec, indices: np.ndarray, dithers: np.ndarray) -> np.ndarray:
-    """Vectorized sdq_decode; both sides of the wire run this same routine."""
+    """Reconstruct each block as (codeword - dither) / zeta; both sides of
+    the wire run this same routine."""
     indices = np.asarray(indices)
-    if indices.size and (indices.min() < 0 or indices.max() >= codec.lattice.size):
-        raise ProtocolError("codebook index out of range")
+    size = codec.lattice.size
+    if indices.size and (indices.min() < 0 or indices.max() >= size):
+        bad = indices[(indices < 0) | (indices >= size)][0]
+        raise ProtocolError(f"codebook index {bad} out of range [0, {size})")
     return (codec.lattice.codebook[indices] - dithers) / codec.zeta
 
 
@@ -164,8 +170,7 @@ def second_moment(
     chunk = 1 << 17
     while done < n_samples:
         take = min(chunk, n_samples - done)
-        u = rng.stream_unit_block(seed, done * dim, take * dim).reshape(take, dim)
-        d = _fold_dithers(u, gen, inv)[0]
+        d = _fold_dithers(_coords(seed, done, take, dim), gen, inv)[0]
         s = np.einsum("ij,ij->i", d, d) / dim
         total += float(s.sum())
         total_sq += float((s * s).sum())
