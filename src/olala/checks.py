@@ -27,6 +27,7 @@ from .lattice import (
     kth_norm,
     quantize_batch,
 )
+from .learning import codeword_budget
 from .sdq import _coords, _fold_dithers, dithers_at, second_moment
 
 
@@ -576,7 +577,7 @@ def check_gamma_scaling(
     if abs(abs(det) - 1.0) > 1e-9:
         raise ValueError(f"shape matrix must have unit determinant, got {det}")
     dim = shape.shape[0]
-    budget = int(round(2.0 ** (dim * rate)))
+    budget = codeword_budget(dim, rate)
     r_shape, tied_count = minimal_enclosing_radius(shape, budget)
 
     ratios = []
@@ -634,7 +635,7 @@ def check_shape_comparison(
     for i, shape in enumerate((shape_a, shape_b)):
         shape = check_generator(shape)
         dim = shape.shape[0]
-        budget = int(round(2.0 ** (dim * rate)))
+        budget = codeword_budget(dim, rate)
         r_shape, _ = minimal_enclosing_radius(shape, budget)
         est, se = second_moment((gamma / r_shape) * shape, n, rng.derive_seed(seed, 60, i))
         moments.append(est)

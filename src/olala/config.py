@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError
 from .fl import FIXED_GENERATORS, QUANTIZER_KINDS
 from .lattice import _ENUM_CAP_DEFAULT
-from .learning import LOSS_KINDS
+from .learning import LOSS_KINDS, OVERLOAD_MODES
 from .models import MODEL_KINDS, ModelArch
 
 @dataclass
@@ -103,10 +103,15 @@ class ExperimentConfig:
         if self.quantizer != "none" and log2_budget >= math.log2(_ENUM_CAP_DEFAULT):
             bad("R", f"the codeword budget 2^(L*R) + 1 = 2^{log2_budget:g} + 1 "
                      f"at L={self.lattice_dim} exceeds the enumeration cap {_ENUM_CAP_DEFAULT}")
-        if self.quantizer in FIXED_GENERATORS and self.lattice_dim != 2:
-            bad("L", f"quantizer={self.quantizer} is a 2-D lattice, got L={self.lattice_dim}")
+        fixed = FIXED_GENERATORS.get(self.quantizer)
+        if fixed is not None and self.lattice_dim != fixed.shape[0]:
+            bad("L", f"quantizer={self.quantizer} is a {fixed.shape[0]}-D lattice, "
+                     f"got L={self.lattice_dim}")
         if self.loss_kind not in LOSS_KINDS:
             bad("loss_kind", f"must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
+        if self.loss_kind == "task" and self.quantizer == "static_global":
+            bad("loss_kind", "task scores one client's update, but quantizer=static_global "
+                             "learns one lattice from every client's update at once")
         if not self.model_lr > 0:
             bad("model_lr", f"must be positive, got {self.model_lr}")
         if self.lattice_lr is not None and not self.lattice_lr > 0:
@@ -115,7 +120,7 @@ class ExperimentConfig:
             bad("lattice_epochs", f"must be >= 0, got {self.lattice_epochs}")
         if self.lattice_batches < 1:
             bad("lattice_batches", f"must be >= 1, got {self.lattice_batches}")
-        if self.overload_mode not in ("fraction", "heuristic_minus1"):
+        if self.overload_mode not in OVERLOAD_MODES:
             bad("overload_mode", f"unknown mode {self.overload_mode!r}")
         if not 0 <= self.target_overload < 1:
             bad("target_overload", f"must be in [0, 1), got {self.target_overload}")

@@ -63,15 +63,17 @@ def write_idx(path: str, arr: np.ndarray) -> None:
 
 
 def load_idx_dataset(images_path: str, labels_path: str, n_classes: int = 10) -> Dataset:
-    """Image/label IDX pair -> flattened features normalized to [0,1]."""
+    """Image/label IDX pair -> flattened features in [0,1]: integer pixels over
+    their type's maximum (255 for uint8), so files share one scale; floats as stored."""
     images = read_idx(images_path)
     labels = read_idx(labels_path)
     if labels.ndim != 1 or images.shape[0] != labels.shape[0]:
         raise ValueError("image and label files disagree on sample count")
     feats = images.reshape(images.shape[0], -1).astype(np.float64)
-    peak = feats.max()
-    if peak > 0:
-        feats /= peak
+    if np.issubdtype(images.dtype, np.integer):
+        feats /= np.iinfo(images.dtype).max
+    if not (feats.min() >= 0.0 and feats.max() <= 1.0):  # also catches NaN
+        raise ValueError(f"{images_path}: pixel values leave [0, 1] after scaling")
     return Dataset(feats, labels.astype(np.int64), n_classes, source="idx_files")
 
 

@@ -32,6 +32,7 @@ from .lattice import (
     build_lattice,
 )
 from .learning import (
+    SUPPORT_RADIUS,
     LearnedLattice,
     LearnerConfig,
     PriorNet,
@@ -175,8 +176,10 @@ class FlResult:
     lattice_log: list[dict]
 
 
-def _learner_cfg_for_round(cfg, seed: int) -> LearnerConfig:
-    return LearnerConfig(
+def _learn(net, w, h, cfg, seed: int, x=None, y=None) -> LearnedLattice:
+    """The one learner call: the experiment config's learner knobs under
+    seed, with the task objective on the shard (x, y) for loss_kind=task."""
+    lcfg = LearnerConfig(
         loss_kind=cfg.loss_kind,
         learning_rate=cfg.lattice_lr,
         epochs=cfg.lattice_epochs,
@@ -188,6 +191,15 @@ def _learner_cfg_for_round(cfg, seed: int) -> LearnerConfig:
         heuristic_filter_sigma=cfg.heuristic_filter_sigma,
         seed=seed,
     )
+    objective = make_objective(cfg.arch(), x, y) if cfg.loss_kind == "task" else None
+    return online_lattice_learning(net, w, h, lcfg, objective=objective)
+
+
+def _transmit_codec(lat, zeta: float, seed_root: int, t: int) -> SdqCodec:
+    """Round t's codec of the client rooted at seed_root: the encoder's and
+    the decoder's alike, so both ends read one transmit dither stream."""
+    dither = DitherStream(rng.derive_seed(seed_root, t, rng.TAG_TRANSMIT_DITHER), lat.gen)
+    return SdqCodec(lattice=lat, zeta=zeta, dither=dither)
 
 
 def _adapts_this_round(kind: str, t: int, adapt_every: int) -> bool:
@@ -199,10 +211,10 @@ def _adapts_this_round(kind: str, t: int, adapt_every: int) -> bool:
 
 
 def client_round(client: ClientState, w_global: np.ndarray, t: int, cfg) -> Payload:
-    """Local training, optional lattice adaptation, scale fit, SDQ encoding."""
-    arch = cfg.arch()
+    """Local training, optional lattice adaptation, scale fit, SDQ encoding.
+    Reads client and writes none of it: run_fl applies the payload's theta and gen."""
     h = local_train(
-        arch,
+        cfg.arch(),
         w_global,
         client.shard_x,
         client.shard_y,
@@ -217,41 +229,26 @@ def client_round(client: ClientState, w_global: np.ndarray, t: int, cfg) -> Payl
             raw_update=h, recon=h.copy(), distortion=0.0, snr_db=math.inf,
         )
 
-    adapted = False
-    if _adapts_this_round(client.quantizer_kind, t, cfg.adapt_every):
-        if client.net is None or cfg.reset_theta_each_round:
-            client.net = init_prior_net(
+    net, gen = client.net, client.gen
+    adapted = _adapts_this_round(client.quantizer_kind, t, cfg.adapt_every)
+    if adapted:
+        if net is None or cfg.reset_theta_each_round:
+            net = init_prior_net(
                 cfg.lattice_dim, rng.derive_seed(client.seed_root, rng.TAG_CLIENT_ROOT)
             )
-        lcfg = _learner_cfg_for_round(
-            cfg, rng.derive_seed(client.seed_root, t, rng.TAG_LATTICE_LEARN)
-        )
-        objective = (
-            make_objective(arch, client.shard_x, client.shard_y)
-            if cfg.loss_kind == "task"
-            else None
-        )
-        learned: LearnedLattice = online_lattice_learning(
-            client.net, w_global, h, lcfg, objective=objective
-        )
-        client.net = PriorNet(cfg.lattice_dim, learned.theta)
-        client.gen = learned.gen
-        adapted = True
-    if client.gen is None:
+        seed = rng.derive_seed(client.seed_root, t, rng.TAG_LATTICE_LEARN)
+        learned = _learn(net, w_global, h, cfg, seed, client.shard_x, client.shard_y)
+        net, gen = PriorNet(cfg.lattice_dim, learned.theta), learned.gen
+    if gen is None:
         raise ProtocolError(f"client {client.uid} has no generator configured")
 
-    gen = client.gen
-    lat = build_lattice(gen, 1.0)
+    lat = build_lattice(gen, SUPPORT_RADIUS)
     blocks, pad = split_vector(h, cfg.lattice_dim)
     n_blocks = blocks.shape[0]
     probe_seed = rng.derive_seed(client.seed_root, t, rng.TAG_PROBE_DITHER)
     zeta, _ = _pinned_scale(blocks, lat, cfg, probe_seed)  # the learner's own scale fit
 
-    codec = SdqCodec(
-        lattice=lat,
-        zeta=zeta,
-        dither=DitherStream(rng.derive_seed(client.seed_root, t, rng.TAG_TRANSMIT_DITHER), gen),
-    )
+    codec = _transmit_codec(lat, zeta, client.seed_root, t)
     scaled = zeta * blocks
     dithers = codec.dither.draw(n_blocks)
     indices = encode_blocks(codec, scaled, dithers)
@@ -278,7 +275,7 @@ def client_round(client: ClientState, w_global: np.ndarray, t: int, cfg) -> Payl
         snr_db=snr,
         codebook_size=lat.size,
         adapted=adapted,
-        theta=None if client.net is None else client.net.theta.copy(),
+        theta=None if net is None else net.theta.copy(),
         recon=recon,
     )
 
@@ -306,14 +303,7 @@ def server_round(
         if p.kind == "none":
             total += p.raw_update
             continue
-        lat = build_lattice(p.gen, 1.0)
-        codec = SdqCodec(
-            lattice=lat,
-            zeta=p.zeta,
-            dither=DitherStream(
-                rng.derive_seed(client_seeds[uid], t, rng.TAG_TRANSMIT_DITHER), p.gen
-            ),
-        )
+        codec = _transmit_codec(build_lattice(p.gen, SUPPORT_RADIUS), p.zeta, client_seeds[uid], t)
         dithers = codec.dither.draw(p.indices.shape[0])
         blocks = decode_blocks(codec, p.indices, dithers)
         h_hat = recombine(blocks, p.pad)
@@ -368,12 +358,12 @@ def run_fl(cfg) -> FlResult:
         )
 
     if cfg.quantizer in FIXED_GENERATORS:
-        gen = normalize_generator(FIXED_GENERATORS[cfg.quantizer], cfg.rate, 1.0)
+        gen = normalize_generator(FIXED_GENERATORS[cfg.quantizer], cfg.rate, SUPPORT_RADIUS)
         for c in clients:
             c.gen = gen
     elif cfg.quantizer == "static_global":
         # Offline phase: one shared lattice learned from the clients' initial
-        # updates, then frozen for the whole run.
+        # updates, then frozen for the whole run (validate() rejects loss_kind=task).
         updates = [
             local_train(
                 arch, w, c.shard_x, c.shard_y, cfg.local_steps, cfg.model_lr,
@@ -384,16 +374,8 @@ def run_fl(cfg) -> FlResult:
         net = init_prior_net(
             cfg.lattice_dim, rng.derive_seed(cfg.master_seed, rng.TAG_OFFLINE, 1)
         )
-        lcfg = _learner_cfg_for_round(cfg, rng.derive_seed(cfg.master_seed, rng.TAG_OFFLINE, 2))
-        if cfg.loss_kind == "task":
-            pooled_x = np.concatenate([c.shard_x for c in clients])
-            pooled_y = np.concatenate([c.shard_y for c in clients])
-            objective = make_objective(arch, pooled_x, pooled_y)
-        else:
-            objective = None
-        learned = online_lattice_learning(
-            net, w, np.concatenate(updates), lcfg, objective=objective
-        )
+        learned = _learn(net, w, np.concatenate(updates), cfg,
+                         rng.derive_seed(cfg.master_seed, rng.TAG_OFFLINE, 2))
         for c in clients:
             c.gen = learned.gen
 
@@ -407,7 +389,7 @@ def run_fl(cfg) -> FlResult:
                 run_clients(client_round, clients, [w] * len(clients),
                             [t] * len(clients), [cfg] * len(clients))
             )
-            # Parallel workers mutate copies; carry learner state back.
+            # The one client-state update, serial and parallel alike.
             for c, p in zip(clients, payloads):
                 if p.theta is not None:
                     c.net = PriorNet(cfg.lattice_dim, p.theta.copy())

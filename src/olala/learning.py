@@ -55,8 +55,10 @@ from .sdq import (
 
 PRIOR_INPUT_WIDTH = 16
 PRIOR_HIDDEN_WIDTH = 32
+SUPPORT_RADIUS = 1.0  # the codebook radius gamma, of the learner and the codec alike
 
 LOSS_KINDS = ("mse", "task", "neg_snr")
+OVERLOAD_MODES = ("fraction", "heuristic_minus1")
 DEFAULT_LEARNING_RATES = {"mse": 1e-6, "neg_snr": 1e-4, "task": 1e-7}
 
 # Stream labels internal to a single learning run.
@@ -158,7 +160,7 @@ def codeword_budget(lattice_dim: int, rate: float) -> int:
     return budget
 
 
-def normalize_scale(raw: np.ndarray, rate: float, gamma: float = 1.0) -> float:
+def normalize_scale(raw: np.ndarray, rate: float, gamma: float = SUPPORT_RADIUS) -> float:
     """Smallest c such that c*raw has at most 2^(L*R) codewords within gamma.
 
     A point raw@l is a codeword of c*raw when ||raw@l|| <= gamma/c, so the
@@ -182,7 +184,7 @@ def normalize_scale(raw: np.ndarray, rate: float, gamma: float = 1.0) -> float:
         c = math.nextafter(c, math.inf)
 
 
-def normalize_generator(raw: np.ndarray, rate: float, gamma: float = 1.0) -> np.ndarray:
+def normalize_generator(raw: np.ndarray, rate: float, gamma: float = SUPPORT_RADIUS) -> np.ndarray:
     """raw scaled by normalize_scale (which validates it), the smallest
     scale that respects the 2^(L*R) codeword ceiling."""
     return normalize_scale(raw, rate, gamma) * np.asarray(raw, dtype=np.float64)
@@ -198,10 +200,9 @@ class LearnerConfig:
     batches: int = 8
     rate: float = 2.0
     target_overload: float = 0.005
-    overload_mode: str = "fraction"  # fraction | heuristic_minus1
+    overload_mode: str = "fraction"  # one of OVERLOAD_MODES
     heuristic_target: float = 0.003
     heuristic_filter_sigma: float = 3.0
-    gamma: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -216,7 +217,7 @@ class LearnerConfig:
             raise ValueError("epochs must be >= 0 and batches >= 1")
         if not (0 <= self.target_overload < 1):
             raise ValueError(f"target_overload must be in [0,1), got {self.target_overload}")
-        if self.overload_mode not in ("fraction", "heuristic_minus1"):
+        if self.overload_mode not in OVERLOAD_MODES:
             raise ValueError(f"unknown overload_mode {self.overload_mode!r}")
 
 
@@ -395,7 +396,7 @@ def _measure(theta, lattice_dim, blocks, cfg: LearnerConfig):
     """(_measured_mse, the codebook and the input scale zeta it was measured
     under): the loss half of the mse step, over every block."""
     raw, _ = _forward_cached(theta, lattice_dim)
-    lat, _ = _lattice_and_shell(normalize_generator(raw, cfg.rate, cfg.gamma), cfg.gamma)
+    lat, _ = _lattice_and_shell(normalize_generator(raw, cfg.rate, SUPPORT_RADIUS), SUPPORT_RADIUS)
     zeta, _ = _pinned_scale(blocks, lat, cfg)
     e, _ = _measured_rows(blocks, slice(None), lat, zeta, cfg.seed)
     return float(np.einsum("ij,ij->", e, e)) / _MEASURE_REPS, lat, zeta
@@ -526,7 +527,7 @@ def _measured_mse_grad(
     # d c / d raw = -c^2 p l*^T / ||p||^2.
     c = float(np.einsum("ij,ij->", gen, raw)) / float(np.einsum("ij,ij->", raw, raw))
     draw = c * dgen
-    shell = _budget_shell(gen, cfg.gamma) if shell is None else shell
+    shell = _budget_shell(gen, SUPPORT_RADIUS) if shell is None else shell
     if shell.shape[0]:
         p = gen @ shell[0]
         draw -= c * float(np.einsum("ij,ij->", dgen, gen)) / float(p @ p) * np.outer(p, shell[0])
@@ -592,8 +593,8 @@ def online_lattice_learning(
                 continue
             try:
                 raw, _ = _forward_cached(theta, dim)
-                gen = normalize_generator(raw, cfg.rate, cfg.gamma)
-                lat, shell = _lattice_and_shell(gen, cfg.gamma)
+                gen = normalize_generator(raw, cfg.rate, SUPPORT_RADIUS)
+                lat, shell = _lattice_and_shell(gen, SUPPORT_RADIUS)
                 if cfg.loss_kind == "mse":
                     _, dtheta = _measured_mse_grad(
                         theta, dim, blocks, batch_ids, gen, lat, cfg, shell
