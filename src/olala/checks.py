@@ -30,6 +30,14 @@ from .lattice import (
 from .learning import codeword_budget
 from .sdq import _coords, _fold_dithers, dithers_at, second_moment
 
+# The checks' tolerances, recorded in each report.  No caller can set them,
+# so no seed is made to pass by widening one (the slope window least of all).
+_MEAN_SIGMAS = 4.0
+_CORR_TOL = 0.02
+_DISTORTION_SE_SIGMAS = 5.0
+_SCALING_SE_SIGMAS = 3.0
+_SLOPE_WINDOW = (-1.3, -0.7)
+
 
 @dataclass
 class CheckReport:
@@ -110,12 +118,9 @@ class StronglyConvexProblem:
     def dim(self) -> int:
         return self.a_mats.shape[1]
 
-    def user_value(self, u: int, w: np.ndarray) -> float:
-        r = w - self.centers[u]
-        return 0.5 * float(r @ self.a_mats[u] @ r)
-
     def global_value(self, w: np.ndarray) -> float:
-        return float(np.mean([self.user_value(u, w) for u in range(self.n_users)]))
+        vals = [0.5 * float(r @ a @ r) for a, r in zip(self.a_mats, w - self.centers)]
+        return float(np.mean(vals))
 
     def global_value_batch(self, ws: np.ndarray) -> np.ndarray:
         """Objective at each row of ws, averaged over users."""
@@ -139,16 +144,16 @@ class StronglyConvexProblem:
         m = self.dim
         z = rng.normal_block(rng.derive_seed(seed, u, 1), rng.derive_seed(seed, u, 2), count * m)
         z = z.reshape(count, m)
-        if m == 1:
-            return np.sign(z) + (z == 0)
-        return z / np.linalg.norm(z, axis=1, keepdims=True)
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        zero = norms[:, 0] == 0  # an all-zero draw points along the first axis
+        z[zero, 0] = norms[zero] = 1.0
+        return z / norms
 
 
 def make_problem(
-    dim: int, n_users: int, seed: int = 0, sigma_scale: float = 0.5,
-    center_spread: float = 1.0,
+    dim: int, n_users: int, seed: int = 0, sigma_scale: float = 0.5
 ) -> StronglyConvexProblem:
-    """Random SPD quadratics with eigenvalues in [0.5, 2.0]."""
+    """Random SPD quadratics with eigenvalues in [0.5, 2.0], centers in [-1, 1]^dim."""
     a_mats = np.zeros((n_users, dim, dim))
     centers = np.zeros((n_users, dim))
     for u in range(n_users):
@@ -159,7 +164,7 @@ def make_problem(
         q, _ = np.linalg.qr(gm + 2.0 * np.eye(dim))
         a_mats[u] = q @ np.diag(eigs) @ q.T
         cu = rng.stream_unit_block(rng.derive_seed(seed, 12, u), 0, dim)
-        centers[u] = center_spread * (2.0 * cu - 1.0)
+        centers[u] = 2.0 * cu - 1.0
     us = rng.stream_unit_block(rng.derive_seed(seed, 13), 0, n_users)
     sigma_users = sigma_scale * (0.5 + us)
     return StronglyConvexProblem(a_mats, centers, sigma_users)
@@ -215,8 +220,6 @@ def check_sdq_error_stats(
     n: int = 10**5,
     seed: int = 0,
     negative_control: bool = False,
-    corr_tol: float = 0.02,
-    mean_sigmas: float = 4.0,
     chi_quantile: float = 0.999,
 ) -> CheckReport:
     """Error law under dithering: zero mean, matched second moment,
@@ -280,14 +283,14 @@ def check_sdq_error_stats(
             "name": f"zero_mean_dim{j}",
             "lhs": abs(float(mean_e[j])),
             "op": "<=",
-            "rhs": mean_sigmas * float(se_e[j]),
+            "rhs": _MEAN_SIGMAS * float(se_e[j]),
         }
         for j in range(dim)
     ]
     inequalities += [
         {"name": "moment_match", "lhs": abs(mom - ref_mom), "op": "<=",
-         "rhs": mean_sigmas * comb_se},
-        {"name": "input_independence", "lhs": max_corr, "op": "<=", "rhs": corr_tol},
+         "rhs": _MEAN_SIGMAS * comb_se},
+        {"name": "input_independence", "lhs": max_corr, "op": "<=", "rhs": _CORR_TOL},
         {"name": "cell_uniformity_chi2", "lhs": chi2, "op": "<=", "rhs": chi2_crit},
     ]
     return CheckReport(
@@ -305,8 +308,8 @@ def check_sdq_error_stats(
         },
         sample_counts={"errors": n, "reference_dithers": ref_n},
         tolerances={
-            "mean_sigmas": mean_sigmas,
-            "corr_tol": corr_tol,
+            "mean_sigmas": _MEAN_SIGMAS,
+            "corr_tol": _CORR_TOL,
             "chi_quantile": chi_quantile,
         },
         negative_control=negative_control,
@@ -334,12 +337,25 @@ def rhs_distortion_bound(sigma_users: np.ndarray, sdq_moments: np.ndarray) -> fl
     return float((sigma_users**2 + sdq_moments).sum() / n_users**2)
 
 
+def _user_generators(problem: StronglyConvexProblem, gens: list[np.ndarray]):
+    """The validated generators of problem's users, one each, their inverses
+    and their one lattice dimension, which must divide problem.dim."""
+    if len(gens) != problem.n_users:
+        raise ValueError(f"{len(gens)} generators for {problem.n_users} users: need one per user")
+    gens = [check_generator(g) for g in gens]
+    dims = sorted({g.shape[0] for g in gens})
+    if len(dims) > 1:
+        raise ValueError(f"generators must share one lattice dimension, got {dims}")
+    if problem.dim % dims[0]:
+        raise ValueError(f"problem dim {problem.dim} is not a multiple of lattice dim {dims[0]}")
+    return gens, [np.linalg.inv(g) for g in gens], dims[0]
+
+
 def check_distortion_bound(
     problem: StronglyConvexProblem,
     gens: list[np.ndarray],
     n: int = 10**5,
     seed: int = 0,
-    se_sigmas: float = 5.0,
     moment_samples: int = 2 * 10**5,
 ) -> CheckReport:
     """Mean squared deviation of the averaged quantized stochastic gradient
@@ -350,24 +366,20 @@ def check_distortion_bound(
     """
     m = problem.dim
     n_users = problem.n_users
+    gens, invs, dim = _user_generators(problem, gens)
     w = problem.w_opt + 1.0 / math.sqrt(m)  # fixed evaluation point off optimum
     g_full = np.stack([problem.user_grad(u, w) for u in range(n_users)])
     g_bar = g_full.mean(axis=0)
-
-    dim = gens[0].shape[0]
-    if m % dim != 0:
-        raise ValueError("problem dim must be a multiple of the lattice dim here")
     blocks_per = m // dim
 
     avg_rec = np.zeros((n, m))
     moments = np.zeros(n_users)
     moment_ses = np.zeros(n_users)
-    for u in range(n_users):
-        gen = check_generator(gens[u])
+    for u, (gen, inv) in enumerate(zip(gens, invs)):
         dirs = problem.noise_dirs(u, rng.derive_seed(seed, 30), n)
         ghat = g_full[u] + problem.sigma_users[u] * dirs
         blocks = ghat.reshape(n * blocks_per, dim)
-        d, l_inf = _dithered_points(gen, np.linalg.inv(gen), blocks, rng.derive_seed(seed, 31, u))
+        d, l_inf = _dithered_points(gen, inv, blocks, rng.derive_seed(seed, 31, u))
         pts = l_inf @ gen.T
         gamma_u = 3.0 * float(np.linalg.norm(blocks + d, axis=1).max())
         if not (np.linalg.norm(pts, axis=1) <= gamma_u).all():
@@ -389,7 +401,7 @@ def check_distortion_bound(
         name=f"distortion_bound_U{n_users}",
         inequalities=[
             {"name": "lhs_below_bound", "lhs": lhs, "op": "<=",
-             "rhs": rhs * (1.0 + se_sigmas * rel_se)}
+             "rhs": rhs * (1.0 + _DISTORTION_SE_SIGMAS * rel_se)}
         ],
         measured={
             "lhs": lhs,
@@ -399,7 +411,7 @@ def check_distortion_bound(
             "sigma_users": [float(v) for v in problem.sigma_users],
         },
         sample_counts={"trials": n, "moment_samples": moment_samples},
-        tolerances={"se_sigmas": se_sigmas},
+        tolerances={"se_sigmas": _DISTORTION_SE_SIGMAS},
     )
 
 
@@ -431,7 +443,6 @@ def check_convergence_rate(
     horizon: int = 2000,
     n_seeds: int = 20,
     seed: int = 0,
-    slope_window: tuple[float, float] = (-1.3, -0.7),
     moment_samples: int = 2 * 10**5,
 ) -> CheckReport:
     """Quantized-gradient descent on the quadratics under the prescribed
@@ -439,20 +450,16 @@ def check_convergence_rate(
     stay under the explicit bound at every logged round."""
     m = problem.dim
     n_users = problem.n_users
-    gens = [check_generator(g) for g in gens]
-    invs = [np.linalg.inv(g) for g in gens]
-    dim = gens[0].shape[0]
-    if m % dim != 0:
-        raise ValueError("problem dim must be a multiple of the lattice dim")
+    gens, invs, dim = _user_generators(problem, gens)
     blocks_per = m // dim
     kappa, nu, etas = step_size_schedule(problem, horizon)
     if etas[0] > 1.0 / (2.0 * problem.l_smooth) + 1e-15:
         raise ValueError("step-size precondition eta_1 <= 1/(2L) violated")
 
-    moments = np.zeros(n_users)
-    for u in range(n_users):
-        mom, _ = second_moment(gens[u], moment_samples, rng.derive_seed(seed, 40, u))
-        moments[u] = m * mom  # full-vector error moment across the blocks
+    moments = np.array([
+        sdq_vector_moment(g, m, moment_samples, rng.derive_seed(seed, 40, u))[0]
+        for u, g in enumerate(gens)
+    ])
     gamma_gap = problem.heterogeneity_gap()
     b_const = rhs_distortion_bound(problem.sigma_users, moments) + 2.0 * problem.l_smooth * gamma_gap
 
@@ -518,7 +525,7 @@ def check_convergence_rate(
             break
 
     inequalities = [
-        {"name": "slope_in_window", "lhs": slope, "op": "in", "rhs": list(slope_window)},
+        {"name": "slope_in_window", "lhs": slope, "op": "in", "rhs": list(_SLOPE_WINDOW)},
         {"name": "gap_below_bound_all_t", "lhs": float(np.max(mean_gap / rhs)), "op": "<=",
          "rhs": 1.0},
         {"name": "no_divergence", "lhs": float(diverged), "op": "<=", "rhs": 0.0},
@@ -538,7 +545,7 @@ def check_convergence_rate(
             "max_gap_to_bound_ratio": float(np.max(mean_gap / rhs)),
         },
         sample_counts={"rounds": horizon, "seeds": n_seeds},
-        tolerances={"slope_window": list(slope_window)},
+        tolerances={"slope_window": list(_SLOPE_WINDOW)},
         notes=notes,
     )
 
@@ -562,7 +569,6 @@ def check_gamma_scaling(
     gammas: list[float],
     n: int = 2 * 10**5,
     seed: int = 0,
-    se_sigmas: float = 3.0,
 ) -> CheckReport:
     """Distortion of the budget-normalized lattice scales as gamma^2.
 
@@ -592,7 +598,7 @@ def check_gamma_scaling(
 
     inequalities = []
     for i in range(1, len(gammas)):
-        tol = se_sigmas * math.hypot(ratio_ses[i], ratio_ses[0])
+        tol = _SCALING_SE_SIGMAS * math.hypot(ratio_ses[i], ratio_ses[0])
         inequalities.append(
             {"name": f"ratio_match_g{gammas[i]}_vs_g{gammas[0]}",
              "lhs": abs(ratios[i] - ratios[0]), "op": "<=", "rhs": tol}
@@ -614,7 +620,7 @@ def check_gamma_scaling(
             "tied_count": tied_count,
         },
         sample_counts={"moment_samples": n},
-        tolerances={"se_sigmas": se_sigmas},
+        tolerances={"se_sigmas": _SCALING_SE_SIGMAS},
         notes="" if tied_count == budget else "radius ties include extra codewords",
     )
 
@@ -626,7 +632,6 @@ def check_shape_comparison(
     gamma: float,
     n: int = 2 * 10**5,
     seed: int = 0,
-    se_sigmas: float = 3.0,
     label: str = "shape_comparison",
 ) -> CheckReport:
     """At equal (gamma, R), shape_a's distortion must not exceed shape_b's."""
@@ -640,7 +645,7 @@ def check_shape_comparison(
         est, se = second_moment((gamma / r_shape) * shape, n, rng.derive_seed(seed, 60, i))
         moments.append(est)
         ses.append(se)
-    tol = se_sigmas * math.hypot(*ses)
+    tol = _SCALING_SE_SIGMAS * math.hypot(*ses)
     return CheckReport(
         name=label,
         inequalities=[
@@ -650,7 +655,7 @@ def check_shape_comparison(
         measured={"moment_a": moments[0], "moment_b": moments[1],
                   "se_a": ses[0], "se_b": ses[1]},
         sample_counts={"moment_samples": n},
-        tolerances={"se_sigmas": se_sigmas},
+        tolerances={"se_sigmas": _SCALING_SE_SIGMAS},
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .data import Dataset, load_idx_dataset, partition_dataset, synthetic_dataset
-from .errors import ProtocolError
+from .errors import ConfigError, ProtocolError
 from .lattice import (
     GEN_A2,
     GEN_D2,
@@ -139,7 +139,6 @@ class Payload:
     indices: np.ndarray | None = None
     raw_update: np.ndarray | None = None  # uncompressed path only
     distortion: float = 0.0
-    overload_frac: float = 0.0
     snr_db: float = math.inf
     codebook_size: int = 0
     adapted: bool = False
@@ -244,21 +243,17 @@ def client_round(client: ClientState, w_global: np.ndarray, t: int, cfg) -> Payl
 
     lat = build_lattice(gen, SUPPORT_RADIUS)
     blocks, pad = split_vector(h, cfg.lattice_dim)
-    n_blocks = blocks.shape[0]
     probe_seed = rng.derive_seed(client.seed_root, t, rng.TAG_PROBE_DITHER)
     zeta, _ = _pinned_scale(blocks, lat, cfg, probe_seed)  # the learner's own scale fit
 
     codec = _transmit_codec(lat, zeta, client.seed_root, t)
-    scaled = zeta * blocks
-    dithers = codec.dither.draw(n_blocks)
-    indices = encode_blocks(codec, scaled, dithers)
+    dithers = codec.dither.draw(blocks.shape[0])
+    indices = encode_blocks(codec, zeta * blocks, dithers)
     recon_blocks = decode_blocks(codec, indices, dithers)
     recon = recombine(recon_blocks, pad)
     err = h - recon
     distortion = float(err @ err)
     sig = float(h @ h)
-    y = scaled + dithers
-    overload = float(np.mean(np.einsum("ij,ij->i", y, y) > lat.gamma * lat.gamma))
     snr = math.inf if distortion == 0 else 10.0 * math.log10(sig / distortion)
     return Payload(
         uid=client.uid,
@@ -271,7 +266,6 @@ def client_round(client: ClientState, w_global: np.ndarray, t: int, cfg) -> Payl
         gen=gen,
         indices=indices,
         distortion=distortion,
-        overload_frac=overload,
         snr_db=snr,
         codebook_size=lat.size,
         adapted=adapted,
@@ -346,6 +340,8 @@ def run_fl(cfg) -> FlResult:
 
     clients = []
     for u in range(cfg.n_users):
+        if shards[u].size == 0:
+            raise ConfigError(f"U: client {u} of {cfg.n_users} gets none of the {len(train)} samples")
         shard = train.subset(shards[u])
         clients.append(
             ClientState(

@@ -121,18 +121,15 @@ class TruncatedLattice:
         return np.linalg.inv(self.gen)
 
     @functools.cached_property
-    def lookup(self) -> tuple[int, np.ndarray, np.ndarray | None]:
+    def lookup(self) -> tuple[int, np.ndarray, np.ndarray]:
         """(bound, ids, index), which map lattice points to codebook indices:
         ids are the sorted flat mixed-radix ids of the codewords' coefficient
         vectors inside the box [-bound, bound]^L; index[k] is the codebook
-        index of ids[k], or None when the two orders agree."""
+        index of ids[k] (the identity for build_lattice's lexicographic order)."""
         bound = int(np.abs(self.index_set).max())
         ids = _box_ids(self.index_set, bound)
-        index = None
-        if np.any(ids[1:] <= ids[:-1]):  # not lexicographic, as build_lattice's is
-            index = np.argsort(ids, kind="stable")
-            ids = ids[index]
-        return bound, ids, index
+        index = np.argsort(ids, kind="stable")
+        return bound, ids[index], index
 
 
 def _points_within(
@@ -250,18 +247,16 @@ def _box_ids(ls: np.ndarray, bound: int) -> np.ndarray:
     return (ls + bound) @ radix
 
 
-def count_codewords_at_most(
-    gen: np.ndarray, gamma: float, limit: int, enum_cap: int = _ENUM_CAP_DEFAULT
-) -> int:
+def count_codewords_at_most(gen: np.ndarray, gamma: float, limit: int) -> int:
     """Count codewords within gamma, capped at limit+1.
 
-    Returns min(true count, limit+1).  A search box larger than enum_cap is
-    reported as limit+1: boxes that size only arise from lattices far too
-    fine to satisfy any small codebook budget.
+    Returns min(true count, limit+1).  A search box beyond the enumeration
+    cap is reported as limit+1: boxes that size only arise from lattices far
+    too fine to satisfy any small codebook budget.
     """
     gen = check_generator(gen)
     try:
-        _, sq = _points_within(gen, np.linalg.inv(gen), gamma, enum_cap)
+        _, sq = _points_within(gen, np.linalg.inv(gen), gamma)
     except ResourceLimitError:
         return limit + 1
     return min(sq.size, limit + 1)
@@ -429,8 +424,7 @@ def _lookup(lat: TruncatedLattice, xs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     keys = _box_ids(ls, bound)
     pos = np.minimum(np.searchsorted(ids, keys), ids.size - 1)
     hit = cert & np.all(np.abs(ls) <= bound, axis=1) & (ids[pos] == keys)
-    pos = pos[hit]
-    return near[hit], pos if index is None else index[pos]
+    return near[hit], index[pos[hit]]
 
 
 def _scan(codebook: np.ndarray, xs: np.ndarray) -> np.ndarray:

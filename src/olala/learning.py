@@ -576,6 +576,7 @@ def online_lattice_learning(
     dim = net.lattice_dim
     blocks, pad = split_vector(np.asarray(h_t, dtype=np.float64), dim)
     n_blocks = blocks.shape[0]
+    n_batches = min(cfg.batches, n_blocks)  # no batch is empty
     # Steps rebind theta and never write into it, so weights are shared, not copied.
     theta = last_valid = theta0 = net.theta.copy()
     eta = float(cfg.learning_rate)
@@ -588,9 +589,7 @@ def online_lattice_learning(
 
     for epoch in range(cfg.epochs):
         order = stream_permutation(derive_seed(cfg.seed, _TAG_SHUFFLE, epoch), n_blocks)
-        for b, batch_ids in enumerate(np.array_split(order, cfg.batches)):
-            if batch_ids.size == 0:
-                continue
+        for b, batch_ids in enumerate(np.array_split(order, n_batches)):
             try:
                 raw, _ = _forward_cached(theta, dim)
                 gen = normalize_generator(raw, cfg.rate, SUPPORT_RADIUS)

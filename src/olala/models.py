@@ -66,15 +66,19 @@ def _layers(arch: ModelArch, params: np.ndarray) -> list[tuple[np.ndarray, np.nd
     return layers
 
 
+def _forward(layers, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The input of every layer, x first, and the logits."""
+    acts = [x]
+    for w, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    w, b = layers[-1]
+    return acts, acts[-1] @ w + b
+
+
 def logits(arch: ModelArch, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Forward pass; x is (n, d) or (d,)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    layers = _layers(arch, params)
-    a = x
-    for w, b in layers[:-1]:
-        a = np.maximum(a @ w + b, 0.0)
-    w, b = layers[-1]
-    return a @ w + b
+    return _forward(_layers(arch, params), x)[1]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -91,13 +95,7 @@ def loss_and_grad(
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     n = x.shape[0]
     layers = _layers(arch, params)
-    acts = [x]
-    a = x
-    for w, b in layers[:-1]:
-        a = np.maximum(a @ w + b, 0.0)
-        acts.append(a)
-    w_last, b_last = layers[-1]
-    z = a @ w_last + b_last
+    acts, z = _forward(layers, x)
     p = _softmax(z)
     eps = 1e-300  # log underflow guard only; probabilities stay unnormalized-free
     loss = float(-np.log(p[np.arange(n), y] + eps).mean())
@@ -106,21 +104,13 @@ def loss_and_grad(
     dz = p
     dz[np.arange(n), y] -= 1.0
     dz /= n
-    grads = []
-    for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        a_in = acts[li]
-        dw = a_in.T @ dz
-        db = dz.sum(axis=0)
-        grads.append((dw, db))
+    grad = np.empty(arch.n_params)
+    for li, (gw, gb) in reversed(list(enumerate(_layers(arch, grad)))):
+        gw[...] = acts[li].T @ dz
+        gb[...] = dz.sum(axis=0)
         if li > 0:
-            da = dz @ w.T
-            dz = da * (acts[li] > 0)
-    flat = []
-    for dw, db in reversed(grads):
-        flat.append(dw.ravel())
-        flat.append(db)
-    return loss, np.concatenate(flat)
+            dz = (dz @ layers[li][0].T) * (acts[li] > 0)
+    return loss, grad
 
 
 def _sgd_steps(
