@@ -2,11 +2,13 @@
 
 Each round: the server broadcasts the model; every client runs local SGD,
 optionally relearns its lattice, scales and SDQ-encodes its update, and
-ships integer indices plus (generator, zeta) metadata.  The server rebuilds
-each client's dither stream from the shared seed and decodes.  Everything is
-a pure function of the experiment config and master seed: reductions happen
-in ascending client id regardless of execution order, so results do not
-depend on scheduling or on the --parallel setting.
+ships integer indices plus (generator, zeta) metadata.  The clients that
+relearn in a round do so as one lockstep group (learning._learn_group).  The
+server rebuilds each client's dither stream from the shared seed and
+decodes.  Everything is a pure function of the experiment config and master
+seed: reductions happen in ascending client id regardless of execution
+order, and a client's lattice does not depend on the group it learned in, so
+results do not depend on scheduling or on the --parallel setting.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .lattice import (
     GEN_D2,
     GEN_HEXAGONAL,
     GEN_IDENTITY_2D,
+    TruncatedLattice,
     build_lattice,
 )
 from .learning import (
@@ -36,10 +39,10 @@ from .learning import (
     LearnedLattice,
     LearnerConfig,
     PriorNet,
+    _learn_group,
     _pinned_scale,
     init_prior_net,
     normalize_generator,
-    online_lattice_learning,
 )
 from .models import ModelArch, _sgd_steps, accuracy, init_params, make_objective
 from .sdq import (
@@ -175,23 +178,31 @@ class FlResult:
     lattice_log: list[dict]
 
 
-def _learn(net, w, h, cfg, seed: int, x=None, y=None) -> LearnedLattice:
-    """The one learner call: the experiment config's learner knobs under
-    seed, with the task objective on the shard (x, y) for loss_kind=task."""
-    lcfg = LearnerConfig(
-        loss_kind=cfg.loss_kind,
-        learning_rate=cfg.lattice_lr,
-        epochs=cfg.lattice_epochs,
-        batches=cfg.lattice_batches,
-        rate=cfg.rate,
-        target_overload=cfg.target_overload,
-        overload_mode=cfg.overload_mode,
-        heuristic_target=cfg.heuristic_target,
-        heuristic_filter_sigma=cfg.heuristic_filter_sigma,
-        seed=seed,
-    )
-    objective = make_objective(cfg.arch(), x, y) if cfg.loss_kind == "task" else None
-    return online_lattice_learning(net, w, h, lcfg, objective=objective)
+def _learn(nets, w, hs, cfg, seeds, shards=None) -> list[tuple[LearnedLattice, TruncatedLattice]]:
+    """The one learner call: the experiment config's learner knobs, one
+    slot per net under its seed, as one lockstep group, with each slot's
+    task objective on its shard (x, y) for loss_kind=task.  Returns each
+    slot's LearnedLattice and the codebook it was measured under."""
+    lcfgs = [
+        LearnerConfig(
+            loss_kind=cfg.loss_kind,
+            learning_rate=cfg.lattice_lr,
+            epochs=cfg.lattice_epochs,
+            batches=cfg.lattice_batches,
+            rate=cfg.rate,
+            target_overload=cfg.target_overload,
+            overload_mode=cfg.overload_mode,
+            heuristic_target=cfg.heuristic_target,
+            heuristic_filter_sigma=cfg.heuristic_filter_sigma,
+            seed=seed,
+        )
+        for seed in seeds
+    ]
+    objectives = [
+        make_objective(cfg.arch(), x, y) if cfg.loss_kind == "task" else None
+        for x, y in (shards or [(None, None)] * len(nets))
+    ]
+    return _learn_group(nets, [w] * len(nets), hs, lcfgs, objectives)
 
 
 def _transmit_codec(lat, zeta: float, seed_root: int, t: int) -> SdqCodec:
@@ -210,38 +221,66 @@ def _adapts_this_round(kind: str, t: int, adapt_every: int) -> bool:
 
 
 def client_round(client: ClientState, w_global: np.ndarray, t: int, cfg) -> Payload:
-    """Local training, optional lattice adaptation, scale fit, SDQ encoding.
-    Reads client and writes none of it: run_fl applies the payload's theta and gen."""
-    h = local_train(
-        cfg.arch(),
-        w_global,
-        client.shard_x,
-        client.shard_y,
-        cfg.local_steps,
-        cfg.model_lr,
-        rng.derive_seed(client.seed_root, t, rng.TAG_LOCAL_SGD),
-    )
+    """Local training, optional lattice adaptation, scale fit, SDQ encoding:
+    the one-client view of _round_group."""
+    return _round_group([client], w_global, t, cfg)[0]
+
+
+def _round_group(clients: list[ClientState], w_global: np.ndarray, t: int, cfg) -> list[Payload]:
+    """Round t of a group of clients, in three phases: local training per
+    client; adaptation of every client that adapts this round, as one
+    lockstep learner group; scale fit and encoding per client.  Reads the
+    clients and writes none of them: run_fl applies each payload's theta
+    and gen.  A client's payload does not depend on the group it ran in."""
+    hs = [
+        local_train(
+            cfg.arch(), w_global, c.shard_x, c.shard_y, cfg.local_steps, cfg.model_lr,
+            rng.derive_seed(c.seed_root, t, rng.TAG_LOCAL_SGD),
+        )
+        for c in clients
+    ]
+    adapting = [
+        k for k, c in enumerate(clients)
+        if c.quantizer_kind != "none" and _adapts_this_round(c.quantizer_kind, t, cfg.adapt_every)
+    ]
+    learned = {}
+    if adapting:
+        nets = []
+        for k in adapting:
+            net = clients[k].net
+            if net is None or cfg.reset_theta_each_round:
+                net = init_prior_net(
+                    cfg.lattice_dim, rng.derive_seed(clients[k].seed_root, rng.TAG_CLIENT_ROOT)
+                )
+            nets.append(net)
+        group = _learn(
+            nets, w_global, [hs[k] for k in adapting], cfg,
+            [rng.derive_seed(clients[k].seed_root, t, rng.TAG_LATTICE_LEARN) for k in adapting],
+            [(clients[k].shard_x, clients[k].shard_y) for k in adapting],
+        )
+        learned = dict(zip(adapting, group))
+    return [_encode(c, hs[k], t, cfg, learned.get(k)) for k, c in enumerate(clients)]
+
+
+def _encode(client: ClientState, h: np.ndarray, t: int, cfg, learned) -> Payload:
+    """Scale fit and SDQ encoding of one client's update h, under the
+    lattice it learned this round (learned: the LearnedLattice and its
+    codebook) or else the one it holds."""
     m = h.size
     if client.quantizer_kind == "none":
         return Payload(
             uid=client.uid, t=t, m=m, kind="none", bits=64 * m,
             raw_update=h, recon=h.copy(), distortion=0.0, snr_db=math.inf,
         )
+    if learned is not None:
+        out, lat = learned
+        gen, theta = out.gen, out.theta
+    else:
+        gen, theta = client.gen, None if client.net is None else client.net.theta
+        if gen is None:
+            raise ProtocolError(f"client {client.uid} has no generator configured")
+        lat = build_lattice(gen, SUPPORT_RADIUS)
 
-    net, gen = client.net, client.gen
-    adapted = _adapts_this_round(client.quantizer_kind, t, cfg.adapt_every)
-    if adapted:
-        if net is None or cfg.reset_theta_each_round:
-            net = init_prior_net(
-                cfg.lattice_dim, rng.derive_seed(client.seed_root, rng.TAG_CLIENT_ROOT)
-            )
-        seed = rng.derive_seed(client.seed_root, t, rng.TAG_LATTICE_LEARN)
-        learned = _learn(net, w_global, h, cfg, seed, client.shard_x, client.shard_y)
-        net, gen = PriorNet(cfg.lattice_dim, learned.theta), learned.gen
-    if gen is None:
-        raise ProtocolError(f"client {client.uid} has no generator configured")
-
-    lat = build_lattice(gen, SUPPORT_RADIUS)
     blocks, pad = split_vector(h, cfg.lattice_dim)
     probe_seed = rng.derive_seed(client.seed_root, t, rng.TAG_PROBE_DITHER)
     zeta, _ = _pinned_scale(blocks, lat, cfg, probe_seed)  # the learner's own scale fit
@@ -268,8 +307,8 @@ def client_round(client: ClientState, w_global: np.ndarray, t: int, cfg) -> Payl
         distortion=distortion,
         snr_db=snr,
         codebook_size=lat.size,
-        adapted=adapted,
-        theta=None if net is None else net.theta.copy(),
+        adapted=learned is not None,
+        theta=None if theta is None else theta.copy(),
         recon=recon,
     )
 
@@ -370,21 +409,23 @@ def run_fl(cfg) -> FlResult:
         net = init_prior_net(
             cfg.lattice_dim, rng.derive_seed(cfg.master_seed, rng.TAG_OFFLINE, 1)
         )
-        learned = _learn(net, w, np.concatenate(updates), cfg,
-                         rng.derive_seed(cfg.master_seed, rng.TAG_OFFLINE, 2))
+        [(learned, _)] = _learn([net], w, [np.concatenate(updates)], cfg,
+                                [rng.derive_seed(cfg.master_seed, rng.TAG_OFFLINE, 2)])
         for c in clients:
             c.gen = learned.gen
 
     records: list[RoundRecord] = []
     lattice_log: list[dict] = []
     workers = min(cfg.parallel, cfg.n_users)
+    # Each worker runs one contiguous chunk of the clients as a round group.
+    size, extra = divmod(len(clients), workers)
+    bounds = [k * size + min(k, extra) for k in range(workers + 1)]
+    chunks = [clients[a:b] for a, b in zip(bounds, bounds[1:])]
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        run_clients = map if pool is None else pool.map
+        run_groups = map if pool is None else pool.map
         for t in range(cfg.rounds):
-            payloads = list(
-                run_clients(client_round, clients, [w] * len(clients),
-                            [t] * len(clients), [cfg] * len(clients))
-            )
+            groups = run_groups(_round_group, chunks, [w] * workers, [t] * workers, [cfg] * workers)
+            payloads = [p for group in groups for p in group]
             # The one client-state update, serial and parallel alike.
             for c, p in zip(clients, payloads):
                 if p.theta is not None:

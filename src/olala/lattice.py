@@ -7,6 +7,7 @@ at most gamma yields the finite codebook used by the codec.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import struct
@@ -29,6 +30,10 @@ _ENUM_CHUNK = 1 << 18
 # times as long and 90 times the memory on 100k rows at L=4.
 _SCORE_CHUNK = 1 << 16
 _CUBE_CACHE_MAX = 1 << 14
+# Scores per chunk of a stacked search over lockstep slots: on a 2-core VM,
+# 5 slots of 340 rows scanned against 64 codewords took 0.69 ms in stacked
+# chunks of 2^16 scores and 0.28 ms slot by slot (2^14 scores each).
+_SLOT_CHUNK = 1 << 14
 
 # quantize_batch looks indices up once the codebook holds more than this many
 # offset cubes (5^L candidates each).  Median time per call, lookup vs scan,
@@ -51,8 +56,23 @@ _CERT_SLACK = 1e-9
 _MEMO_WIDEN = 1.1
 
 _cube_cache: dict[int, np.ndarray] = {}
-# The last fresh enumeration (B, R, ls, sq); see _points_within.
+# The last fresh enumeration (B, R, ls, sq) of unslotted calls; see _points_within.
 _memo: tuple[np.ndarray, float, np.ndarray, np.ndarray] | None = None
+# The memo holder (a one-item list) of the active lockstep slot; see memo_slot.
+_slot: list | None = None
+
+
+@contextlib.contextmanager
+def memo_slot(holder: list):
+    """Route _points_within's memo to holder[0] while active, so lockstep
+    slots interleaved in one process each keep their own entry instead of
+    evicting each other's."""
+    global _slot
+    outer, _slot = _slot, holder
+    try:
+        yield
+    finally:
+        _slot = outer
 
 
 def check_generator(gen: np.ndarray) -> np.ndarray:
@@ -158,7 +178,8 @@ def _points_within(
     the generator moves little.  Otherwise the box is enumerated at
     _MEMO_WIDEN times the radius (at the radius itself when the wider box
     exceeds enum_cap), stored, and filtered back to the radius.  Results
-    never depend on the memo's state.
+    never depend on the memo's state.  Inside memo_slot the entry read and
+    written is the slot's, else the process's _memo.
     """
     global _memo
     dim = gen.shape[0]
@@ -168,7 +189,9 @@ def _points_within(
         raise ResourceLimitError(
             f"lattice enumeration box has {total} candidates (cap {enum_cap})"
         )
-    memo = _memo  # read once: the answer and its certificate use one entry
+    holder = _slot
+    # read once: the answer and its certificate use one entry
+    memo = _memo if holder is None else holder[0]
     if memo is not None and _memo_covers(memo, gen, inv, radius):
         ls = memo[2]
         pts = ls @ gen.T
@@ -178,7 +201,11 @@ def _points_within(
         if (2 * int(math.ceil(wide * reach)) + 1) ** dim > enum_cap:
             wide = radius
         ls, sq = _enumerate(gen, int(math.ceil(wide * reach)), wide)
-        _memo = (gen.copy(), wide, ls, sq)
+        entry = (gen.copy(), wide, ls, sq)
+        if holder is None:
+            _memo = entry
+        else:
+            holder[0] = entry
     ok = sq <= radius * radius
     return ls[ok], sq[ok]
 
@@ -330,6 +357,10 @@ def _cube_search(
     """Babai point refined over the offset cube; returns the coefficient
     vectors and, with certify, a per-row certificate (else all False).
 
+    gen, inv (U, L, L) and xs (U, n, L) may carry a leading slot axis;
+    every op acts on each slot's slice as it would on that slot alone, and
+    slots run in chunks that keep a chunk of scores within _SLOT_CHUNK.
+
     Let r be the Babai residual x - G l0 and d the distance to the answer.
     Any lattice point l within distance e of x has
     ||l - l0||_inf <= mu (e + ||r||), mu = max_i ||row_i(G^-1)||
@@ -340,34 +371,42 @@ def _cube_search(
     nearest point with a squared-distance margin tau = _TIE_REL
     (||x|| + d)^2.
     """
-    cube = _offset_cube(gen.shape[0])
-    cand = cube @ gen.T  # (K, L) lattice displacements of the cube offsets
-    cand_sq = np.einsum("ij,ij->i", cand, cand)
-    l0 = np.rint(xs @ inv.T).astype(np.int64)
-    resid = xs - l0 @ gen.T
-    out = np.empty_like(l0)
-    cert = np.zeros(xs.shape[0], dtype=bool)
-    if certify:
-        mu = float(np.linalg.norm(inv, axis=1).max())
+    cube = _offset_cube(gen.shape[-1])
+    n = xs.shape[-2]
     step = max(1, _SCORE_CHUNK // cube.shape[0])
-    for start in range(0, xs.shape[0], step):
-        stop = min(start + step, xs.shape[0])
-        r = resid[start:stop]
+    per = max(1, _SLOT_CHUNK // (cube.shape[0] * max(1, min(n, step))))
+    if xs.ndim > 2 and xs.shape[0] > per:
+        parts = [
+            _cube_search(gen[s : s + per], inv[s : s + per], xs[s : s + per], certify)
+            for s in range(0, xs.shape[0], per)
+        ]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    cand = cube @ gen.mT  # (..., K, L) lattice displacements of the cube offsets
+    cand_sq = np.einsum("...ij,...ij->...i", cand, cand)[..., None, :]
+    l0 = np.rint(xs @ inv.mT).astype(np.int64)
+    resid = xs - l0 @ gen.mT
+    out = np.empty_like(l0)
+    cert = np.zeros(xs.shape[:-1], dtype=bool)
+    if certify:
+        mu = np.linalg.norm(inv, axis=-1).max(axis=-1)[..., None]
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        r = resid[..., start:stop, :]
         # ||r - c_k||^2 = ||r||^2 - 2 r.c_k + ||c_k||^2; drop the constant ||r||^2.
-        scores = cand_sq[None, :] - 2.0 * (r @ cand.T)
-        best = np.argmin(scores, axis=1)  # first minimum == lexicographically smallest
-        out[start:stop] = l0[start:stop] + cube[best]
+        scores = cand_sq - 2.0 * (r @ cand.mT)
+        best = np.argmin(scores, axis=-1)  # first minimum == lexicographically smallest
+        out[..., start:stop, :] = l0[..., start:stop, :] + cube[best]
         if certify:
-            rows = np.arange(stop - start)
-            low = scores[rows, best]
-            r_sq = np.einsum("ij,ij->i", r, r)
+            low = np.take_along_axis(scores, best[..., None], -1)[..., 0]
+            r_sq = np.einsum("...ij,...ij->...i", r, r)
             d_sq = np.maximum(low + r_sq, 0.0)
-            x_norm = np.sqrt(np.einsum("ij,ij->i", xs[start:stop], xs[start:stop]))
+            x = xs[..., start:stop, :]
+            x_norm = np.sqrt(np.einsum("...ij,...ij->...i", x, x))
             tau = _TIE_REL * (x_norm + np.sqrt(d_sq)) ** 2
-            scores[rows, best] = np.inf
-            unique = scores.min(axis=1) - low > tau
+            np.put_along_axis(scores, best[..., None], np.inf, -1)
+            unique = scores.min(axis=-1) - low > tau
             reach = mu * (np.sqrt(d_sq + tau) + np.sqrt(r_sq))
-            cert[start:stop] = unique & (reach < 3.0 * (1.0 - _CERT_SLACK))
+            cert[..., start:stop] = unique & (reach < 3.0 * (1.0 - _CERT_SLACK))
     return out, cert
 
 
@@ -410,6 +449,42 @@ def quantize_batch(lat: TruncatedLattice, xs: np.ndarray) -> np.ndarray:
     miss = np.flatnonzero(out < 0)
     out[miss] = _scan(lat.codebook, xs[miss])
     return out
+
+
+def _quantize_slots(lats: list[TruncatedLattice], xs: np.ndarray) -> np.ndarray:
+    """The coefficient vectors of each slot's quantize_batch of its rows xs
+    (U, m, L) under its codebook lats[u].
+
+    Where every codebook is scanned, and in one chunk, the codebooks are
+    padded to one size and scanned at once, as many slots at a time as keep
+    the scores within _SLOT_CHUNK: each slot's scores are its own scan's,
+    because the scores of a real codeword do not depend on the columns after
+    it, and a padded row never wins, because it lies outside the support
+    ball (so it repeats no codeword) and its squared norm is taken as +inf.
+    Otherwise each slot runs quantize_batch."""
+    dim = xs.shape[-1]
+    sizes = [lat.size for lat in lats]
+    size = max(sizes)
+    per = _SLOT_CHUNK // (xs.shape[1] * max(size, 1))
+    if min(sizes) == 0 or size > _LOOKUP_CUBES * 5**dim or per == 0:
+        return np.stack([lat.index_set[quantize_batch(lat, x)] for lat, x in zip(lats, xs)])
+    if len(lats) > per:
+        return np.concatenate(
+            [_quantize_slots(lats[s : s + per], xs[s : s + per]) for s in range(0, len(lats), per)]
+        )
+    book = np.zeros((len(lats), size, dim))
+    book[:, :, 0] = 2.0 * max(lat.gamma for lat in lats)
+    coef = np.zeros((len(lats), size, dim), dtype=np.int64)
+    pad = np.ones((len(lats), size), dtype=bool)
+    for k, lat in enumerate(lats):
+        book[k, : lat.size] = lat.codebook
+        coef[k, : lat.size] = lat.index_set
+        pad[k, : lat.size] = False
+    book_sq = np.einsum("uij,uij->ui", book, book)
+    book_sq[pad] = np.inf
+    scores = book_sq[:, None, :] - 2.0 * (xs @ book.mT)
+    best = np.argmin(scores, axis=-1)
+    return np.take_along_axis(coef, best[..., None], axis=1)
 
 
 def _lookup(lat: TruncatedLattice, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

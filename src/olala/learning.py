@@ -23,20 +23,24 @@ fixed.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import lattice
 from .errors import GeometryError, NumericError, ResourceLimitError
 from .lattice import (
     GEN_HEXAGONAL,
     TruncatedLattice,
     _build,
     _kth_norm_points,
+    _quantize_slots,
     check_generator,
+    memo_slot,
     pack_generator,
     quantize_batch,
     unpack_generator,
@@ -99,11 +103,13 @@ class PriorNet:
 
 
 def _forward_cached(theta: np.ndarray, lattice_dim: int):
+    """The raw matrix of theta (P,) and the hidden activations; theta (U, P)
+    gives one of each per slot, every slice as theta alone gives it."""
     (w1, b1), (w2, b2), (w3, b3) = _layers(_prior_arch(lattice_dim), theta)
-    a1 = np.tanh(w1.sum(axis=0) + b1)  # fixed all-ones input: s @ W1 == column sums
-    a2 = np.tanh(a1 @ w2 + b2)
-    out = a2 @ w3 + b3
-    return out.reshape(lattice_dim, lattice_dim), (a1, a2)
+    a1 = np.tanh(w1.sum(axis=-2) + b1)  # fixed all-ones input: s @ W1 == column sums
+    a2 = np.tanh((a1[..., None, :] @ w2)[..., 0, :] + b2)
+    out = (a2[..., None, :] @ w3)[..., 0, :] + b3
+    return out.reshape(*theta.shape[:-1], lattice_dim, lattice_dim), (a1, a2)
 
 
 def prior_forward(net: PriorNet) -> np.ndarray:
@@ -115,17 +121,21 @@ def prior_forward(net: PriorNet) -> np.ndarray:
 
 
 def _backward(theta: np.ndarray, lattice_dim: int, cache, dout_flat: np.ndarray) -> np.ndarray:
+    """d loss / d theta from d loss / d raw (flattened).  Leading axes of
+    theta, the cache and dout_flat broadcast: one theta and many output
+    gradients give one weight gradient per output gradient."""
     arch = _prior_arch(lattice_dim)
     _, (w2, _), (w3, _) = _layers(arch, theta)
     a1, a2 = cache
-    dtheta = np.empty_like(theta)
+    lead = np.broadcast_shapes(theta.shape[:-1], dout_flat.shape[:-1])
+    dtheta = np.empty((*lead, theta.shape[-1]))
     (dw1, dz1), (dw2, dz2), (dw3, dz3) = _layers(arch, dtheta)
     dz3[...] = dout_flat
-    np.outer(a2, dout_flat, out=dw3)
-    np.multiply(w3 @ dout_flat, 1.0 - a2 * a2, out=dz2)
-    np.outer(a1, dz2, out=dw2)
-    np.multiply(w2 @ dz2, 1.0 - a1 * a1, out=dz1)
-    dw1[...] = dz1  # input is all ones
+    np.multiply(a2[..., :, None], dout_flat[..., None, :], out=dw3)
+    np.multiply((w3 @ dout_flat[..., None])[..., 0], 1.0 - a2 * a2, out=dz2)
+    np.multiply(a1[..., :, None], dz2[..., None, :], out=dw2)
+    np.multiply((w2 @ dz2[..., None])[..., 0], 1.0 - a1 * a1, out=dz1)
+    dw1[...] = dz1[..., None, :]  # input is all ones
     return dtheta
 
 
@@ -213,6 +223,10 @@ class LearnerConfig:
             self.batches = 1
         if self.learning_rate is None:
             self.learning_rate = DEFAULT_LEARNING_RATES[self.loss_kind]
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.epochs < 0 or self.batches < 1:
             raise ValueError("epochs must be >= 0 and batches >= 1")
         if not (0 <= self.target_overload < 1):
@@ -343,9 +357,12 @@ def lattice_grad(
     )
 
 
-def _lattice_grad(theta, lattice_dim, blocks, lat, zeta, kind, dithers, w, objective, pad):
-    """lattice_grad under the codebook lat and input scale zeta."""
-    raw, cache = _forward_cached(theta, lattice_dim)
+def _lattice_grad(
+    theta, lattice_dim, blocks, lat, zeta, kind, dithers, w, objective, pad, fwd=None
+):
+    """lattice_grad under the codebook lat and input scale zeta; fwd is
+    theta's (raw, cache) when the caller has run the forward pass."""
+    raw, cache = _forward_cached(theta, lattice_dim) if fwd is None else fwd
     gen = lat.gen
     denom = float(np.einsum("ij,ij->", raw, raw))
     if denom <= 0:
@@ -390,60 +407,91 @@ def overload_heuristic_minus1(
 
 
 _MEASURE_REPS = 4
-
-
-def _measure(theta, lattice_dim, blocks, cfg: LearnerConfig):
-    """(_measured_mse, the codebook and the input scale zeta it was measured
-    under): the loss half of the mse step, over every block."""
-    raw, _ = _forward_cached(theta, lattice_dim)
-    lat, _ = _lattice_and_shell(normalize_generator(raw, cfg.rate, SUPPORT_RADIUS), SUPPORT_RADIUS)
-    zeta, _ = _pinned_scale(blocks, lat, cfg)
-    e, _ = _measured_rows(blocks, slice(None), lat, zeta, cfg.seed)
-    return float(np.einsum("ij,ij->", e, e)) / _MEASURE_REPS, lat, zeta
-
-
-def _measured_mse(theta, lattice_dim, blocks, cfg: LearnerConfig) -> float:
-    """Safeguard metric: empirical distortion of the full training set, in
-    model units, under deterministic probe and dither streams.
-
-    Averaged over a few dither realizations so the accept/revert decision
-    tracks expected distortion rather than one draw's luck.
-    """
-    return _measure(theta, lattice_dim, blocks, cfg)[0]
-
-
-def _measured_rows(blocks, ids, lat: TruncatedLattice, zeta: float, seed: int):
-    """Error rows and reconstruction coefficients a of blocks[ids] under the
-    _MEASURE_REPS measurement dither streams of a run's seed: row rep * m + i
-    is block ids[i] under stream rep, reconstructed as (codeword - dither) /
-    zeta == gen @ a / zeta."""
-    gen = lat.gen
-    dim = gen.shape[0]
-    x = blocks[ids]
-    stacked = (_MEASURE_REPS, *x.shape)
-    u = _measure_coords(seed, blocks.shape[0], dim)[:, ids].reshape(-1, dim)
-    d, fold = _fold_dithers(u, gen, lat.inv)
-    idx = quantize_batch(lat, (zeta * x + d.reshape(stacked)).reshape(d.shape))
-    a = lat.index_set[idx] + fold - u
-    e = (x - (a @ gen.T / zeta).reshape(stacked)).reshape(d.shape)
-    return e, a
-
-
-# The measurement streams are read at every step of a learning run, so they
-# are drawn once per run and kept read-only.
-@functools.lru_cache(maxsize=2)
-def _measure_coords(seed: int, n_rows: int, dim: int) -> np.ndarray:
-    """_coords of the _MEASURE_REPS measurement dither streams of a run's
-    seed, stacked into shape (_MEASURE_REPS, n_rows, dim)."""
-    u = np.stack(
-        [_coords(derive_seed(seed, _TAG_MEASURE_DITHER, rep), 0, n_rows, dim)
-         for rep in range(_MEASURE_REPS)]
-    )
-    u.flags.writeable = False
-    return u
-
-
 _PIN_TOL = 1e-9
+
+
+def _fit_set(blocks: np.ndarray, cfg):
+    """The blocks an input scale is fit on and the overload target it
+    meets, per cfg.overload_mode: the heuristic's survivors (from 10
+    blocks up) and its target, else every block."""
+    if cfg.overload_mode == "heuristic_minus1" and blocks.shape[0] >= 10:
+        return _heuristic_survivors(blocks, cfg.heuristic_filter_sigma), cfg.heuristic_target
+    return blocks, cfg.target_overload
+
+
+class _Slots:
+    """The constants of a lockstep group of learners, one slot each, drawn
+    once per learning run and read at every step: the knobs the slots share
+    (cfg, with the first slot's seed), each slot's seed, blocks (U, n, L)
+    and measurement dither coordinates (U, _MEASURE_REPS, n, L), its scale
+    fit set and the coordinates of its measurement probe (both stacked when
+    every set has one size, else lists), and its enumeration-memo holder
+    (see lattice.memo_slot), which starts from the process's memo."""
+
+    def __init__(self, cfgs: list[LearnerConfig], blocks: np.ndarray):
+        self.cfg = cfgs[0]
+        if any(replace(c, seed=self.cfg.seed) != self.cfg for c in cfgs[1:]):
+            raise ValueError("the slots of a learner group may differ in their seed only")
+        self.seeds = [c.seed for c in cfgs]
+        self.blocks = blocks
+        _, n, dim = blocks.shape
+        self.measure = np.stack([
+            [_coords(derive_seed(seed, _TAG_MEASURE_DITHER, rep), 0, n, dim)
+             for rep in range(_MEASURE_REPS)]
+            for seed in self.seeds
+        ])
+        fits = [_fit_set(b, self.cfg) for b in blocks]
+        fit, self.target = [f for f, _ in fits], fits[0][1]
+        probe = [
+            _coords(derive_seed(seed, _TAG_MEASURE_PROBE), 0, f.shape[0], dim)
+            for seed, f in zip(self.seeds, fit)
+        ]
+        same = len({f.shape[0] for f in fit}) == 1
+        self.fit = np.stack(fit) if same else fit
+        self.probe = np.stack(probe) if same else probe
+        self.memos = [[lattice._memo] for _ in self.seeds]
+
+    def take(self, sel: list[int]) -> "_Slots":
+        """The group of slots sel (indices into this group; repeats share
+        their slot's memo)."""
+        if sel == list(range(len(self.seeds))):
+            return self
+        out = copy.copy(self)
+        for name in ("seeds", "blocks", "measure", "fit", "probe", "memos"):
+            part = getattr(self, name)
+            setattr(out, name, part[sel] if isinstance(part, np.ndarray) else [part[i] for i in sel])
+        return out
+
+
+def _codebook(raw: np.ndarray, slots: _Slots, k: int):
+    """normalize_generator's generator of slot k's raw matrix, as its
+    codebook and budget shell (see _lattice_and_shell), enumerated under
+    the slot's memo."""
+    with memo_slot(slots.memos[k]):
+        gen = normalize_generator(raw, slots.cfg.rate, SUPPORT_RADIUS)
+        return _lattice_and_shell(gen, SUPPORT_RADIUS)
+
+
+def _stacked(lats: list[TruncatedLattice]) -> tuple[np.ndarray, np.ndarray]:
+    return np.stack([lat.gen for lat in lats]), np.stack([lat.inv for lat in lats])
+
+
+def _scale_and_slope(fit: np.ndarray, lats: list[TruncatedLattice], u: np.ndarray, target: float):
+    """Each slot's zeta and d zeta / d gen (see _pinned_scale) for its fit
+    set fit (U, n, L) under the probe coordinates u (U, n, L)."""
+    gen, inv = _stacked(lats)
+    d, fold = _fold_dithers(u, gen, inv)
+    zeta, p = _fit_scale_pinned(fit, lats[0].gamma, d, target)
+    dzeta = np.zeros_like(gen)
+    pinned = np.flatnonzero(p >= 0)
+    if pinned.size:
+        q = p[pinned]
+        x = fit[pinned, q]
+        y = zeta[pinned, None] * x + d[pinned, q]
+        slope = (x[:, None, :] @ y[:, :, None])[:, 0, 0]  # half of d||y||^2 / d zeta
+        w = u[pinned, q] - fold[pinned, q]
+        dzeta[pinned] = -(y[:, :, None] * w[:, None, :]) / slope[:, None, None]
+    return zeta, dzeta
 
 
 def _pinned_scale(blocks, lat: TruncatedLattice, cfg, seed: int | None = None):
@@ -458,21 +506,82 @@ def _pinned_scale(blocks, lat: TruncatedLattice, cfg, seed: int | None = None):
     derivative.  A scale pinned by no block (the infeasible-scale floor,
     the ceiling, all-zero data) does not move with gen.
     """
-    gen = lat.gen
-    fit_blocks, target = blocks, cfg.target_overload
-    if cfg.overload_mode == "heuristic_minus1" and blocks.shape[0] >= 10:
-        fit_blocks = _heuristic_survivors(blocks, cfg.heuristic_filter_sigma)
-        target = cfg.heuristic_target
+    fit, target = _fit_set(blocks, cfg)
     if seed is None:
         seed = derive_seed(cfg.seed, _TAG_MEASURE_PROBE)
-    u = _coords(seed, 0, fit_blocks.shape[0], gen.shape[0])
-    d, fold = _fold_dithers(u, gen, lat.inv)
-    zeta, p = _fit_scale_pinned(fit_blocks, lat.gamma, d, target)
-    if p < 0:
-        return zeta, np.zeros_like(gen)
-    y = zeta * fit_blocks[p] + d[p]
-    slope = float(fit_blocks[p] @ y)  # half of d||y||^2 / d zeta
-    return zeta, -np.outer(y, u[p] - fold[p]) / slope
+    u = _coords(seed, 0, fit.shape[0], lat.dim)
+    zeta, dzeta = _scale_and_slope(fit[None], [lat], u[None], target)
+    return float(zeta[0]), dzeta[0]
+
+
+def _measured_scale(slots: _Slots, lats: list[TruncatedLattice]):
+    """Each slot's zeta and d zeta / d gen under its measurement probe."""
+    if isinstance(slots.fit, np.ndarray):
+        return _scale_and_slope(slots.fit, lats, slots.probe, slots.target)
+    parts = [
+        _scale_and_slope(fit[None], [lat], u[None], slots.target)
+        for fit, lat, u in zip(slots.fit, lats, slots.probe)
+    ]
+    return np.concatenate([z for z, _ in parts]), np.concatenate([g for _, g in parts])
+
+
+def _measured_rows(slots: _Slots, ids, lats: list[TruncatedLattice], zeta: np.ndarray):
+    """Error rows e, reconstruction coefficients a and a @ gen.T of each
+    slot's blocks[ids] (ids (U, b); None for every block) under the
+    _MEASURE_REPS measurement dither streams of its seed: row rep * b + i
+    is block ids[i] under stream rep, reconstructed as (codeword - dither) /
+    zeta == gen @ a / zeta."""
+    gen, inv = _stacked(lats)
+    if ids is None:
+        x, u = slots.blocks, slots.measure
+    else:
+        x = np.take_along_axis(slots.blocks, ids[..., None], axis=1)
+        u = np.take_along_axis(slots.measure, ids[:, None, :, None], axis=2)
+    stacked = u.shape  # (U, _MEASURE_REPS, b, L)
+    u = u.reshape(stacked[0], -1, stacked[-1])
+    d, fold = _fold_dithers(u, gen, inv)
+    xs = (zeta[:, None, None, None] * x[:, None] + d.reshape(stacked)).reshape(d.shape)
+    a = _quantize_slots(lats, xs) + fold - u
+    ag = a @ gen.mT
+    e = (x[:, None] - (ag / zeta[:, None, None]).reshape(stacked)).reshape(d.shape)
+    return e, a, ag
+
+
+def _measure(slots: _Slots, theta: np.ndarray):
+    """Each slot's _measured_mse of its weights theta (U, P), with the
+    codebook and the zeta it was measured under: the loss half of the mse
+    step, over every block.  A slot whose geometry fails measures inf and
+    holds its error in place of the codebook."""
+    raw, _ = _forward_cached(theta, slots.blocks.shape[-1])
+    lats = []
+    for k in range(theta.shape[0]):
+        try:
+            lats.append(_codebook(raw[k], slots, k)[0])
+        except (GeometryError, ResourceLimitError) as exc:
+            lats.append(exc)
+    good = [k for k, lat in enumerate(lats) if isinstance(lat, TruncatedLattice)]
+    mse = np.full(len(lats), np.inf)
+    zeta = np.zeros(len(lats))
+    if good:
+        part, fine = slots.take(good), [lats[k] for k in good]
+        zeta[good], _ = _measured_scale(part, fine)
+        e, _, _ = _measured_rows(part, None, fine, zeta[good])
+        mse[good] = np.einsum("uij,uij->u", e, e) / _MEASURE_REPS
+    return mse, lats, zeta
+
+
+def _measured_mse(theta, lattice_dim, blocks, cfg: LearnerConfig) -> float:
+    """Safeguard metric: empirical distortion of the full training set, in
+    model units, under deterministic probe and dither streams.
+
+    Averaged over a few dither realizations so the accept/revert decision
+    tracks expected distortion rather than one draw's luck.
+    """
+    slots = _Slots([cfg], np.asarray(blocks, dtype=np.float64)[None])
+    mse, lats, _ = _measure(slots, theta[None])
+    if not isinstance(lats[0], TruncatedLattice):
+        raise lats[0]
+    return float(mse[0])
 
 
 def _lattice_and_shell(gen: np.ndarray, gamma: float) -> tuple[TruncatedLattice, np.ndarray]:
@@ -495,10 +604,11 @@ def _measured_mse_grad(
     blocks: np.ndarray,
     batch_ids: np.ndarray,
     gen: np.ndarray,
-    lat: TruncatedLattice,
-    cfg: LearnerConfig,
-    shell: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
+    lat,
+    cfg,
+    shell=None,
+    fwd=None,
+):
     """The batch's share of _measured_mse and its exact gradient over theta.
 
     Everything _measured_mse measures is a closed form of the generator once
@@ -514,38 +624,212 @@ def _measured_mse_grad(
     change of shape that splits the tie moves c by a one-sided amount the
     formula cannot see, so the gradient is projected onto the directions
     that keep the tied norms equal.
+
+    A lockstep group passes theta (U, P) with batch_ids (U, b) and gen
+    (U, L, L), lists of codebooks and shells, and its _Slots as cfg (whose
+    blocks are the ones measured); losses and gradients then come back per
+    slot.  fwd is theta's (raw, cache) when the caller has run the forward
+    pass.
     """
-    raw, cache = _forward_cached(theta, lattice_dim)
-    zeta, dzeta = _pinned_scale(blocks, lat, cfg)
-    e, a = _measured_rows(blocks, batch_ids, lat, zeta, cfg.seed)
-    loss = float(np.einsum("ij,ij->", e, e)) / _MEASURE_REPS
-    dgen = -2.0 / zeta * (e.T @ a)
-    dgen += 2.0 / zeta**2 * float(np.einsum("ij,ij->", e, a @ gen.T)) * dzeta
+    one = theta.ndim == 1
+    if one:
+        blocks = np.asarray(blocks, dtype=np.float64)
+        shell = [_budget_shell(gen, SUPPORT_RADIUS) if shell is None else shell]
+        theta, batch_ids, gen, lat = theta[None], np.asarray(batch_ids)[None], gen[None], [lat]
+        cfg = _Slots([cfg], blocks[None])
+    raw, cache = _forward_cached(theta, lattice_dim) if fwd is None else fwd
+    zeta, dzeta = _measured_scale(cfg, lat)
+    e, a, ag = _measured_rows(cfg, batch_ids, lat, zeta)
+    loss = np.einsum("uij,uij->u", e, e) / _MEASURE_REPS
+    zs = [float(z) for z in zeta]
+    along = np.einsum("uij,uij->u", e, ag)
+    dgen = np.array([-2.0 / z for z in zs])[:, None, None] * (e.mT @ a)
+    dgen += np.array([2.0 / z**2 * float(s) for z, s in zip(zs, along)])[:, None, None] * dzeta
     dgen /= _MEASURE_REPS
 
     # gen = c * raw with c = gamma / ||raw l*||, so with p = gen @ l*,
     # d c / d raw = -c^2 p l*^T / ||p||^2.
-    c = float(np.einsum("ij,ij->", gen, raw)) / float(np.einsum("ij,ij->", raw, raw))
-    draw = c * dgen
-    shell = _budget_shell(gen, SUPPORT_RADIUS) if shell is None else shell
-    if shell.shape[0]:
-        p = gen @ shell[0]
-        draw -= c * float(np.einsum("ij,ij->", dgen, gen)) / float(p @ p) * np.outer(p, shell[0])
-    dtheta = _backward(theta, lattice_dim, cache, draw.ravel())
-    if shell.shape[0] > 1:
-        # d||raw l||^2 / d raw = 2 (raw l) l^T; keep every tied norm equal to
-        # the first.  The constraints span at most L^2 directions of raw, so
-        # only a basis of that span goes through backprop.
-        ties = np.stack(
-            [(np.outer(raw @ l, l) - np.outer(raw @ shell[0], shell[0])).ravel() for l in shell[1:]]
-        )
-        basis, sv, _ = np.linalg.svd(ties.T, full_matrices=False)
-        cons = np.stack(
-            [_backward(theta, lattice_dim, cache, v) for v in basis[:, sv > 1e-12 * sv[0]].T]
-        )
-        coef = np.linalg.lstsq(cons @ cons.T, cons @ dtheta, rcond=None)[0]
-        dtheta = dtheta - coef @ cons
-    return loss, dtheta
+    c = np.einsum("uij,uij->u", gen, raw) / np.einsum("uij,uij->u", raw, raw)
+    draw = c[:, None, None] * dgen
+    pinned = [k for k, sh in enumerate(shell) if sh.shape[0]]
+    if pinned:
+        first = np.stack([shell[k][0] for k in pinned])
+        p = (gen[pinned] @ first[..., None])[..., 0]
+        pp = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
+        along = np.einsum("uij,uij->u", dgen[pinned], gen[pinned])
+        coef = [float(c[k]) * float(s) / float(q) for k, s, q in zip(pinned, along, pp)]
+        draw[pinned] -= np.array(coef)[:, None, None] * (p[:, :, None] * first[:, None, :])
+    dtheta = _backward(theta, lattice_dim, cache, draw.reshape(theta.shape[0], -1))
+    _project_ties(theta, lattice_dim, raw, cache, shell, dtheta)
+    return (float(loss[0]), dtheta[0]) if one else (loss, dtheta)
+
+
+def _project_ties(theta, lattice_dim, raw, cache, shell, dtheta) -> None:
+    """Project each slot's dtheta, in place, onto the directions that keep
+    its tied budget norms equal: d||raw l||^2 / d raw = 2 (raw l) l^T, and
+    every tied norm stays equal to the first.  The constraints span at most
+    L^2 directions of raw, so only a basis of that span (the left singular
+    vectors above a relative 1e-12) goes through backprop.  Slots with as
+    many tied points and the same basis size run as one stack; the
+    least-squares solve runs slot by slot."""
+    groups: dict[int, list[int]] = {}
+    for k, sh in enumerate(shell):
+        if sh.shape[0] > 1:
+            groups.setdefault(sh.shape[0], []).append(k)
+    for ks in groups.values():
+        tied = np.stack([shell[k] for k in ks])  # (T, S, L)
+        norms = (raw[ks][:, None] @ tied[..., None])[..., 0]  # raw @ l
+        grads = norms[..., :, None] * tied[..., None, :]
+        ties = (grads[:, 1:] - grads[:, :1]).reshape(len(ks), tied.shape[1] - 1, -1)
+        basis, sv, _ = np.linalg.svd(ties.mT, full_matrices=False)
+        keep = sv > 1e-12 * sv[:, :1]
+        by_keep: dict[bytes, list[int]] = {}
+        for j, row in enumerate(keep):
+            by_keep.setdefault(row.tobytes(), []).append(j)
+        for js in by_keep.values():
+            rows = [ks[j] for j in js]
+            picked = basis[js][:, :, keep[js[0]]]  # (T, L^2, r), each slot's kept columns
+            slot_cache = (cache[0][rows][:, None], cache[1][rows][:, None])
+            cons = _backward(
+                theta[rows][:, None], lattice_dim, slot_cache, picked.mT
+            )
+            gram = cons @ cons.mT
+            rhs = (cons @ dtheta[rows][..., None])[..., 0]
+            coef = np.stack(
+                [np.linalg.lstsq(g, b, rcond=None)[0] for g, b in zip(gram, rhs)]
+            )
+            dtheta[rows] = dtheta[rows] - (coef[:, None, :] @ cons)[:, 0, :]
+
+
+def _rows(sel: list[int], count: int):
+    """An index of the rows sel of count: a slice, so a view, when sel is
+    every row in order."""
+    return slice(None) if sel == list(range(count)) else sel
+
+
+def _learn_group(
+    nets: list[PriorNet],
+    w_ts: list[np.ndarray],
+    h_ts: list[np.ndarray],
+    cfgs: list[LearnerConfig],
+    objectives: list,
+) -> list[tuple[LearnedLattice, TruncatedLattice]]:
+    """online_lattice_learning for a group of slots in lockstep: each slot's
+    LearnedLattice and the codebook it was measured under.
+
+    The slots share every knob but their seed and have update vectors of
+    one length, so every step runs once for the group with a leading slot
+    axis: the prior net's passes, the scale fits, the measured rows and the
+    gradient.  Each stacked op acts on every slot's slice as it would on
+    that slot alone, so a slot's result does not depend on the group it ran
+    in.  The ragged parts run slot by slot: normalization, codebook and
+    shell (each slot under its own enumeration memo), the tie projection,
+    the neg_snr and task steps, and the step size, reversion and abort of
+    the safeguard.
+    """
+    cfg = cfgs[0]
+    if cfg.loss_kind == "task" and any(o is None for o in objectives):
+        raise ValueError("task loss requires a client objective")
+    dim = nets[0].lattice_dim
+    split = [split_vector(np.asarray(h, dtype=np.float64), dim) for h in h_ts]
+    slots = _Slots(cfgs, np.stack([blocks for blocks, _ in split]))
+    n_slots, n_blocks = slots.blocks.shape[:2]
+    n_batches = min(cfg.batches, n_blocks)  # no batch is empty
+    theta0 = np.stack([net.theta for net in nets])
+    theta, last_valid = theta0.copy(), theta0.copy()
+    eta = np.full(n_slots, float(cfg.learning_rate))
+    reversions = [0] * n_slots
+    live = list(range(n_slots))  # the slots that have not aborted
+    epoch_ends: list[list[np.ndarray]] = [[] for _ in range(n_slots)]
+
+    # (measured distortion, the codebook measured under, zeta) of each slot
+    start = _measure(slots, theta0)
+    for lat in start[1]:
+        if not isinstance(lat, TruncatedLattice):
+            raise lat
+
+    for epoch in range(cfg.epochs):
+        batches = {
+            k: np.array_split(
+                stream_permutation(derive_seed(slots.seeds[k], _TAG_SHUFFLE, epoch), n_blocks),
+                n_batches,
+            )
+            for k in live
+        }
+        for b in range(n_batches):
+            sel = list(live)
+            if not sel:
+                break
+            raw, (a1, a2) = _forward_cached(theta[_rows(sel, n_slots)], dim)
+            ok, lats, shells, grads = [], [], [], []
+            for i, k in enumerate(sel):
+                try:
+                    lat, shell = _codebook(raw[i], slots, k)
+                    if cfg.loss_kind != "mse":
+                        # The batch's scale fit and dithers, as fit_scale and
+                        # dithers_at draw them, folded with the codebook's inverse.
+                        batch = slots.blocks[k][batches[k][b]]
+                        seed = derive_seed(slots.seeds[k], _TAG_BATCH_PROBE, epoch, b)
+                        zeta, _ = _pinned_scale(batch, lat, cfg, seed)
+                        seed = derive_seed(slots.seeds[k], _TAG_BATCH_DITHER, epoch, b)
+                        u = _coords(seed, 0, batch.shape[0], dim)
+                        d, _ = _fold_dithers(u, lat.gen, lat.inv)
+                        grads.append(_lattice_grad(
+                            theta[k], dim, batch, lat, zeta, cfg.loss_kind, d, w_ts[k],
+                            objectives[k], split[k][1], fwd=(raw[i], (a1[i], a2[i])),
+                        )[1])
+                except (GeometryError, ResourceLimitError):
+                    theta[k] = last_valid[k]
+                    eta[k] *= 0.1
+                    reversions[k] += 1
+                    if reversions[k] > 3:
+                        live.remove(k)
+                    continue
+                ok.append(i)
+                lats.append(lat)
+                shells.append(shell)
+            if not ok:
+                continue
+            rows = [sel[i] for i in ok]
+            at = _rows(rows, n_slots)
+            if cfg.loss_kind == "mse":
+                ids = np.stack([batches[k][b] for k in rows])
+                gens = np.stack([lat.gen for lat in lats])
+                part = _rows(ok, len(sel))
+                fwd = (raw[part], (a1[part], a2[part]))
+                _, dtheta = _measured_mse_grad(
+                    theta[at], dim, None, ids, gens, lats, slots.take(rows), shells, fwd
+                )
+            else:
+                dtheta = np.stack(grads)
+            last_valid[at] = theta[at]
+            theta[at] -= eta[at, None] * dtheta
+        for k in live:
+            epoch_ends[k].append(theta[k].copy())
+
+    # A slot that ran to the end keeps its final weights if they measure no
+    # worse than its start; one that aborted keeps the best of its start and
+    # the weights each completed epoch ended with.
+    aborted = [k for k in range(n_slots) if k not in live]
+    sel = live + [k for k in aborted for _ in epoch_ends[k]]
+    candidates = {k: [(start[0][k], start[1][k], start[2][k], theta0[k])] for k in range(n_slots)}
+    if sel:
+        weights = np.stack([theta[k] for k in live] + [w for k in aborted for w in epoch_ends[k]])
+        mse, lats, zeta = _measure(slots.take(sel), weights)
+        for j, k in enumerate(sel):
+            candidates[k].append((mse[j], lats[j], zeta[j], weights[j]))
+    out = []
+    for k in range(n_slots):
+        if k in live:
+            first, last = candidates[k]
+            _, lat, zeta, weights = last if last[0] <= first[0] else first
+        else:
+            _, lat, zeta, weights = min(candidates[k], key=lambda c: c[0])
+        out.append((LearnedLattice(gen=lat.gen, zeta=float(zeta), theta=weights.copy()), lat))
+    # Leave the last slot's entry as the process's memo, as a lone learner
+    # leaves its last enumeration there for the next query of its lattice.
+    lattice._memo = slots.memos[-1][0]
+    return out
 
 
 def online_lattice_learning(
@@ -569,70 +853,7 @@ def online_lattice_learning(
     each completed epoch ended with, and the best of them and the
     pre-training weights wins.  The emitted lattice and input scale are the
     ones its weights were measured under (the measurement probe's zeta), so
-    emission neither normalizes nor fits a scale again.
+    emission neither normalizes nor fits a scale again.  This is the
+    one-slot view of the lockstep group learner, _learn_group.
     """
-    if cfg.loss_kind == "task" and objective is None:
-        raise ValueError("task loss requires a client objective")
-    dim = net.lattice_dim
-    blocks, pad = split_vector(np.asarray(h_t, dtype=np.float64), dim)
-    n_blocks = blocks.shape[0]
-    n_batches = min(cfg.batches, n_blocks)  # no batch is empty
-    # Steps rebind theta and never write into it, so weights are shared, not copied.
-    theta = last_valid = theta0 = net.theta.copy()
-    eta = float(cfg.learning_rate)
-    reversions = 0
-    aborted = False
-
-    # (measured distortion, the codebook and zeta measured under them, weights)
-    start = (*_measure(theta0, dim, blocks, cfg), theta0)
-    epoch_ends = []
-
-    for epoch in range(cfg.epochs):
-        order = stream_permutation(derive_seed(cfg.seed, _TAG_SHUFFLE, epoch), n_blocks)
-        for b, batch_ids in enumerate(np.array_split(order, n_batches)):
-            try:
-                raw, _ = _forward_cached(theta, dim)
-                gen = normalize_generator(raw, cfg.rate, SUPPORT_RADIUS)
-                lat, shell = _lattice_and_shell(gen, SUPPORT_RADIUS)
-                if cfg.loss_kind == "mse":
-                    _, dtheta = _measured_mse_grad(
-                        theta, dim, blocks, batch_ids, gen, lat, cfg, shell
-                    )
-                else:
-                    # The batch's scale fit and dithers, as fit_scale and
-                    # dithers_at draw them, folded with the codebook's inverse.
-                    batch = blocks[batch_ids]
-                    seed = derive_seed(cfg.seed, _TAG_BATCH_PROBE, epoch, b)
-                    zeta, _ = _pinned_scale(batch, lat, cfg, seed)
-                    seed = derive_seed(cfg.seed, _TAG_BATCH_DITHER, epoch, b)
-                    d, _ = _fold_dithers(_coords(seed, 0, batch.shape[0], dim), gen, lat.inv)
-                    _, dtheta = _lattice_grad(
-                        theta, dim, batch, lat, zeta, cfg.loss_kind, d, w_t, objective, pad
-                    )
-            except (GeometryError, ResourceLimitError):
-                theta = last_valid
-                eta *= 0.1
-                reversions += 1
-                if reversions > 3:
-                    aborted = True
-                    break
-                continue
-            last_valid = theta
-            theta = theta - eta * dtheta
-        if aborted:
-            break
-        epoch_ends.append(theta)
-
-    def checkpoint(weights):
-        try:
-            return (*_measure(weights, dim, blocks, cfg), weights)
-        except (GeometryError, ResourceLimitError):
-            return math.inf, None, None, weights
-
-    if aborted:
-        checkpoints = [start] + [checkpoint(weights) for weights in epoch_ends]
-        _, lat, zeta, theta_final = min(checkpoints, key=lambda c: c[0])
-    else:
-        final = checkpoint(theta)
-        _, lat, zeta, theta_final = final if final[0] <= start[0] else start
-    return LearnedLattice(gen=lat.gen, zeta=zeta, theta=theta_final.copy())
+    return _learn_group([net], [w_t], [h_t], [cfg], [objective])[0][0]

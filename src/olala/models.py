@@ -54,13 +54,15 @@ def init_params(arch: ModelArch, seed: int) -> np.ndarray:
 
 def _layers(arch: ModelArch, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(W, b) views of each layer of a flat vector, W shaped (fan_in, fan_out);
-    writing through a view writes the vector."""
+    writing through a view writes the vector.  Leading axes of params, one
+    flat vector per slot, carry over to every view."""
+    lead = params.shape[:-1]
     layers = []
     pos = 0
     for fi, fo in zip(arch.widths[:-1], arch.widths[1:]):
-        w = params[pos : pos + fi * fo].reshape(fi, fo)
+        w = params[..., pos : pos + fi * fo].reshape(*lead, fi, fo)
         pos += fi * fo
-        b = params[pos : pos + fo]
+        b = params[..., pos : pos + fo]
         pos += fo
         layers.append((w, b))
     return layers

@@ -73,14 +73,15 @@ def _coords(seed: int, start: int, count: int, dim: int) -> np.ndarray:
 def _fold_dithers(u: np.ndarray, gen: np.ndarray, inv: np.ndarray):
     """Dithers from parallelepiped coordinates u (rows in [0,1)^L), folded
     onto the basic cell, and the integer fold (nearest_point_batch's point)
-    subtracted from each; gen is validated and inv is its inverse.
+    subtracted from each; gen is validated and inv is its inverse.  u
+    (U, n, L) and gen, inv (U, L, L) may carry a leading slot axis.
 
     d == (u - fold) @ gen.T, so with the fold held fixed a dither is linear
     in the generator.
     """
-    d0 = u @ gen.T
+    d0 = u @ gen.mT
     fold = _cube_search(gen, inv, d0)[0]
-    return d0 - fold @ gen.T, fold
+    return d0 - fold @ gen.mT, fold
 
 
 def split_vector(x: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
@@ -203,29 +204,34 @@ def fit_scale(
     if blocks.ndim != 2 or blocks.shape[0] < 1 or blocks.shape[1] != lat.dim:
         raise ValueError(f"expected (M, {lat.dim}) subvectors, got {blocks.shape}")
     d = dither_probe.draw(blocks.shape[0])
-    return _fit_scale_pinned(blocks, lat.gamma, d, target_overload)[0]
+    return float(_fit_scale_pinned(blocks[None], lat.gamma, d[None], target_overload)[0][0])
 
 
 def _fit_scale_pinned(
     blocks: np.ndarray, gamma: float, d: np.ndarray, target_overload: float
-) -> tuple[float, int]:
-    """fit_scale under the probe dithers d, and the index of the block whose
-    overload root the scale is (-1 when no block pins it: all-zero blocks,
-    the floor, the ceiling)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """fit_scale of each slot's blocks (U, n, L) under its probe dithers d
+    (U, n, L), and the index of the block whose overload root the scale is
+    (-1 when no block pins it: all-zero blocks, the floor, the ceiling).
+    Each slot is fit as alone; the ragged step-down runs slot by slot."""
     if not (0 <= target_overload < 1):
         raise ValueError(f"target_overload must be in [0, 1), got {target_overload}")
-    if not np.any(blocks):
+    slots, n = blocks.shape[:2]
+    zeta = np.ones(slots)
+    pins = np.full(slots, -1)
+    nonzero = np.any(blocks, axis=(1, 2))
+    for _ in range(slots - int(np.count_nonzero(nonzero))):
         warnings.warn("all-zero subvectors: scale fit defaulting to 1.0", stacklevel=3)
-        return 1.0, -1
+    if not nonzero.any():
+        return zeta, pins
     gamma_sq = gamma * gamma
-    xx = np.einsum("ij,ij->i", blocks, blocks)
-    xd = np.einsum("ij,ij->i", blocks, d)
-    dd = np.einsum("ij,ij->i", d, d)
+    xx = np.einsum("uij,uij->ui", blocks, blocks)
+    xd = np.einsum("uij,uij->ui", blocks, d)
+    dd = np.einsum("uij,uij->ui", d, d)
 
     # The overload fraction k/n meets the target exactly when the count k
     # does not exceed the largest k whose fraction, formed as np.mean forms
     # it, meets it.
-    n = blocks.shape[0]
     allowed = min(int(target_overload * n), n)
     while allowed < n and (allowed + 1) / n <= target_overload:
         allowed += 1
@@ -240,23 +246,30 @@ def _fit_scale_pinned(
         roots = np.where(xd > 0, slack / (xd + disc), (disc - xd) / xx)
     roots[xx == 0] = np.inf
     roots[slack < 0] = 0.0
-    p = int(np.argpartition(roots, allowed)[allowed])
-    zeta = min(max(float(roots[p]), _SCALE_FLOOR), _SCALE_CEIL)
-    if zeta != roots[p]:
-        p = -1
+    p = np.argpartition(roots, allowed, axis=-1)[:, allowed]
+    root = roots[np.arange(slots), p]
+    fit = np.minimum(np.maximum(root, _SCALE_FLOOR), _SCALE_CEIL)
+    zeta[nonzero] = fit[nonzero]
+    pins[nonzero] = np.where(fit == root, p, -1)[nonzero]
 
-    def overloads(z: float) -> int:
-        y = z * blocks + d
+    def overloads(s: int, z: float) -> int:
+        y = z * blocks[s] + d[s]
         return int(np.count_nonzero(np.einsum("ij,ij->i", y, y) > gamma_sq))
 
     # Counted the way the codec measures overload: at the root itself,
     # rounding can put the pinning block an ulp outside the radius.
-    while overloads(zeta) > allowed:
-        if zeta <= _SCALE_FLOOR:
-            warnings.warn(
-                "no feasible scale meets the overload target; returning bracket floor",
-                stacklevel=3,
-            )
-            return _SCALE_FLOOR, -1
-        zeta = math.nextafter(zeta, 0.0)
-    return zeta, p
+    y = zeta[:, None, None] * blocks + d
+    over = np.count_nonzero(np.einsum("uij,uij->ui", y, y) > gamma_sq, axis=1)
+    for s in np.flatnonzero(nonzero & (over > allowed)):
+        z = float(zeta[s])
+        while overloads(s, z) > allowed:
+            if z <= _SCALE_FLOOR:
+                warnings.warn(
+                    "no feasible scale meets the overload target; returning bracket floor",
+                    stacklevel=3,
+                )
+                z, pins[s] = _SCALE_FLOOR, -1
+                break
+            z = math.nextafter(z, 0.0)
+        zeta[s] = z
+    return zeta, pins
