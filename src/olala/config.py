@@ -15,6 +15,7 @@ from .fl import FIXED_GENERATORS, QUANTIZER_KINDS
 from .lattice import _ENUM_CAP_DEFAULT
 from .learning import LOSS_KINDS, OVERLOAD_MODES
 from .models import MODEL_KINDS, ModelArch
+from .sdq import _MOMENT_MIN_SAMPLES
 
 @dataclass
 class ExperimentConfig:
@@ -150,10 +151,13 @@ class ExperimentConfig:
             bad("parallel", f"must be >= 1, got {self.parallel}")
         for key in (
             "check_sdq_samples", "check_distortion_trials", "check_convergence_rounds",
-            "check_convergence_seeds", "check_gamma_samples",
+            "check_convergence_seeds",
         ):
             if getattr(self, key) < 1:
                 bad(key, f"must be >= 1, got {getattr(self, key)}")
+        if self.check_gamma_samples < _MOMENT_MIN_SAMPLES:
+            bad("check_gamma_samples",
+                f"must be >= {_MOMENT_MIN_SAMPLES}, got {self.check_gamma_samples}")
         try:
             rates = self.sweep_rates()
         except ValueError:

@@ -358,8 +358,8 @@ def _cube_search(
     vectors and, with certify, a per-row certificate (else all False).
 
     gen, inv (U, L, L) and xs (U, n, L) may carry a leading slot axis;
-    every op acts on each slot's slice as it would on that slot alone, and
-    slots run in chunks that keep a chunk of scores within _SLOT_CHUNK.
+    every op acts on each slot's slice as it would on that slot alone.  The
+    cube's candidates are scored by _first_min.
 
     Let r be the Babai residual x - G l0 and d the distance to the answer.
     Any lattice point l within distance e of x has
@@ -372,42 +372,55 @@ def _cube_search(
     (||x|| + d)^2.
     """
     cube = _offset_cube(gen.shape[-1])
-    n = xs.shape[-2]
-    step = max(1, _SCORE_CHUNK // cube.shape[0])
-    per = max(1, _SLOT_CHUNK // (cube.shape[0] * max(1, min(n, step))))
-    if xs.ndim > 2 and xs.shape[0] > per:
-        parts = [
-            _cube_search(gen[s : s + per], inv[s : s + per], xs[s : s + per], certify)
-            for s in range(0, xs.shape[0], per)
-        ]
-        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
     cand = cube @ gen.mT  # (..., K, L) lattice displacements of the cube offsets
-    cand_sq = np.einsum("...ij,...ij->...i", cand, cand)[..., None, :]
+    cand_sq = np.einsum("...ij,...ij->...i", cand, cand)
     l0 = np.rint(xs @ inv.mT).astype(np.int64)
     resid = xs - l0 @ gen.mT
-    out = np.empty_like(l0)
-    cert = np.zeros(xs.shape[:-1], dtype=bool)
-    if certify:
-        mu = np.linalg.norm(inv, axis=-1).max(axis=-1)[..., None]
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        r = resid[..., start:stop, :]
-        # ||r - c_k||^2 = ||r||^2 - 2 r.c_k + ||c_k||^2; drop the constant ||r||^2.
-        scores = cand_sq - 2.0 * (r @ cand.mT)
-        best = np.argmin(scores, axis=-1)  # first minimum == lexicographically smallest
-        out[..., start:stop, :] = l0[..., start:stop, :] + cube[best]
-        if certify:
-            low = np.take_along_axis(scores, best[..., None], -1)[..., 0]
-            r_sq = np.einsum("...ij,...ij->...i", r, r)
-            d_sq = np.maximum(low + r_sq, 0.0)
-            x = xs[..., start:stop, :]
-            x_norm = np.sqrt(np.einsum("...ij,...ij->...i", x, x))
-            tau = _TIE_REL * (x_norm + np.sqrt(d_sq)) ** 2
-            np.put_along_axis(scores, best[..., None], np.inf, -1)
-            unique = scores.min(axis=-1) - low > tau
-            reach = mu * (np.sqrt(d_sq + tau) + np.sqrt(r_sq))
-            cert[..., start:stop] = unique & (reach < 3.0 * (1.0 - _CERT_SLACK))
-    return out, cert
+    if not certify:
+        return l0 + cube[_first_min(cand, cand_sq, resid)], np.zeros(xs.shape[:-1], dtype=bool)
+    best, low, second = _first_min(cand, cand_sq, resid, runner_up=True)
+    # ||r - c||^2 = ||r||^2 + the score ||c||^2 - 2 r.c
+    r_sq = np.einsum("...ij,...ij->...i", resid, resid)
+    d_sq = np.maximum(low + r_sq, 0.0)
+    x_norm = np.sqrt(np.einsum("...ij,...ij->...i", xs, xs))
+    tau = _TIE_REL * (x_norm + np.sqrt(d_sq)) ** 2
+    mu = np.linalg.norm(inv, axis=-1).max(axis=-1)[..., None]
+    reach = mu * (np.sqrt(d_sq + tau) + np.sqrt(r_sq))
+    cert = (second - low > tau) & (reach < 3.0 * (1.0 - _CERT_SLACK))
+    return l0 + cube[best], cert
+
+
+def _first_min(cands: np.ndarray, sq: np.ndarray, xs: np.ndarray, runner_up: bool = False):
+    """Per row x of xs, the index of the first minimum of ||c||^2 - 2 x.c
+    over the candidates c, the rows of cands with squared norms sq (ties go
+    to the lowest index; a candidate whose sq is +inf never wins), and with
+    runner_up also that minimum score and the least score of the others.
+
+    cands (U, K, L), sq (U, K) and xs (U, n, L) may carry a leading slot
+    axis, each slot scored as it is alone.  Rows run in chunks of at most
+    _SCORE_CHUNK scores per slot, and slots in chunks that keep a chunk of
+    scores within _SLOT_CHUNK.
+    """
+    if xs.ndim == 2:
+        out = _first_min(cands[None], sq[None], xs[None], runner_up)
+        return tuple(a[0] for a in out) if runner_up else out[0]
+    slots, n = xs.shape[:2]
+    step = max(1, _SCORE_CHUNK // cands.shape[1])
+    per = max(1, _SLOT_CHUNK // (cands.shape[1] * max(1, min(n, step))))
+    best = np.empty((slots, n), dtype=np.int64)
+    low, second = (np.empty((slots, n)), np.empty((slots, n))) if runner_up else (None, None)
+    for s in range(0, slots, per):
+        u = slice(s, s + per)
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            scores = sq[u, None, :] - 2.0 * (xs[u, rows] @ cands[u].mT)
+            top = best[u, rows]
+            np.argmin(scores, axis=-1, out=top)
+            if runner_up:
+                low[u, rows] = np.take_along_axis(scores, top[..., None], -1)[..., 0]
+                np.put_along_axis(scores, top[..., None], np.inf, -1)
+                second[u, rows] = scores.min(axis=-1)
+    return (best, low, second) if runner_up else best
 
 
 def quantize(lat: TruncatedLattice, x: np.ndarray) -> tuple[int, np.ndarray]:
@@ -433,21 +446,22 @@ def quantize_batch(lat: TruncatedLattice, xs: np.ndarray) -> np.ndarray:
     (the unique nearest, with a margin that outweighs rounding) that is a
     codeword is the answer, and its index is found by binary search in the
     lattice's sorted box ids.  Only the other rows (overload, uncertified,
-    non-finite) are scanned.  The scan is chunked so that rows x |C| stays
-    within _SCORE_CHUNK scores.
+    non-finite) are scanned, by _first_min.
     """
     if lat.size == 0:
         raise GeometryError("cannot quantize against an empty codebook")
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != lat.dim:
         raise ValueError(f"expected points of dimension {lat.dim}, got {xs.shape}")
+    book = lat.codebook
+    book_sq = np.einsum("ij,ij->i", book, book)
     if lat.size <= _LOOKUP_CUBES * 5**lat.dim:
-        return _scan(lat.codebook, xs)
+        return _first_min(book, book_sq, xs)
     out = np.full(xs.shape[0], -1, dtype=np.int64)
     rows, index = _lookup(lat, xs)
     out[rows] = index
     miss = np.flatnonzero(out < 0)
-    out[miss] = _scan(lat.codebook, xs[miss])
+    out[miss] = _first_min(book, book_sq, xs[miss])
     return out
 
 
@@ -455,23 +469,18 @@ def _quantize_slots(lats: list[TruncatedLattice], xs: np.ndarray) -> np.ndarray:
     """The coefficient vectors of each slot's quantize_batch of its rows xs
     (U, m, L) under its codebook lats[u].
 
-    Where every codebook is scanned, and in one chunk, the codebooks are
-    padded to one size and scanned at once, as many slots at a time as keep
-    the scores within _SLOT_CHUNK: each slot's scores are its own scan's,
-    because the scores of a real codeword do not depend on the columns after
-    it, and a padded row never wins, because it lies outside the support
-    ball (so it repeats no codeword) and its squared norm is taken as +inf.
-    Otherwise each slot runs quantize_batch."""
+    Where every codebook is scanned, the codebooks are padded to one size
+    and scored by one _first_min: each slot's scores are its own scan's,
+    because the scores of a real codeword do not depend on the columns
+    after it, and a padded row never wins, because it lies outside the
+    support ball (so it repeats no codeword) and its squared norm is taken
+    as +inf.  Otherwise each slot runs quantize_batch."""
     dim = xs.shape[-1]
-    sizes = [lat.size for lat in lats]
-    size = max(sizes)
-    per = _SLOT_CHUNK // (xs.shape[1] * max(size, 1))
-    if min(sizes) == 0 or size > _LOOKUP_CUBES * 5**dim or per == 0:
+    size = max(lat.size for lat in lats)
+    if min(lat.size for lat in lats) == 0:
+        raise GeometryError("cannot quantize against an empty codebook")
+    if size > _LOOKUP_CUBES * 5**dim:
         return np.stack([lat.index_set[quantize_batch(lat, x)] for lat, x in zip(lats, xs)])
-    if len(lats) > per:
-        return np.concatenate(
-            [_quantize_slots(lats[s : s + per], xs[s : s + per]) for s in range(0, len(lats), per)]
-        )
     book = np.zeros((len(lats), size, dim))
     book[:, :, 0] = 2.0 * max(lat.gamma for lat in lats)
     coef = np.zeros((len(lats), size, dim), dtype=np.int64)
@@ -482,8 +491,7 @@ def _quantize_slots(lats: list[TruncatedLattice], xs: np.ndarray) -> np.ndarray:
         pad[k, : lat.size] = False
     book_sq = np.einsum("uij,uij->ui", book, book)
     book_sq[pad] = np.inf
-    scores = book_sq[:, None, :] - 2.0 * (xs @ book.mT)
-    best = np.argmin(scores, axis=-1)
+    best = _first_min(book, book_sq, xs)
     return np.take_along_axis(coef, best[..., None], axis=1)
 
 
@@ -500,19 +508,6 @@ def _lookup(lat: TruncatedLattice, xs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     pos = np.minimum(np.searchsorted(ids, keys), ids.size - 1)
     hit = cert & np.all(np.abs(ls) <= bound, axis=1) & (ids[pos] == keys)
     return near[hit], index[pos[hit]]
-
-
-def _scan(codebook: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Index of the first minimum of ||c||^2 - 2 x.c over the codebook, per
-    row, in chunks of at most _SCORE_CHUNK scores."""
-    cb_sq = np.einsum("ij,ij->i", codebook, codebook)
-    out = np.empty(xs.shape[0], dtype=np.int64)
-    step = max(1, _SCORE_CHUNK // codebook.shape[0])
-    for start in range(0, xs.shape[0], step):
-        stop = min(start + step, xs.shape[0])
-        scores = cb_sq[None, :] - 2.0 * (xs[start:stop] @ codebook.T)
-        out[start:stop] = np.argmin(scores, axis=1)
-    return out
 
 
 def rate_of(lat: TruncatedLattice) -> float:

@@ -423,10 +423,10 @@ class _Slots:
     """The constants of a lockstep group of learners, one slot each, drawn
     once per learning run and read at every step: the knobs the slots share
     (cfg, with the first slot's seed), each slot's seed, blocks (U, n, L)
-    and measurement dither coordinates (U, _MEASURE_REPS, n, L), its scale
-    fit set and the coordinates of its measurement probe (both stacked when
-    every set has one size, else lists), and its enumeration-memo holder
-    (see lattice.memo_slot), which starts from the process's memo."""
+    and measurement dither coordinates (U, _MEASURE_REPS, n, L), and lists
+    of its scale fit set, the coordinates of its measurement probe and its
+    enumeration-memo holder (see lattice.memo_slot), which starts from the
+    process's memo."""
 
     def __init__(self, cfgs: list[LearnerConfig], blocks: np.ndarray):
         self.cfg = cfgs[0]
@@ -441,14 +441,11 @@ class _Slots:
             for seed in self.seeds
         ])
         fits = [_fit_set(b, self.cfg) for b in blocks]
-        fit, self.target = [f for f, _ in fits], fits[0][1]
-        probe = [
+        self.fit, self.target = [f for f, _ in fits], fits[0][1]
+        self.probe = [
             _coords(derive_seed(seed, _TAG_MEASURE_PROBE), 0, f.shape[0], dim)
-            for seed, f in zip(self.seeds, fit)
+            for seed, f in zip(self.seeds, self.fit)
         ]
-        same = len({f.shape[0] for f in fit}) == 1
-        self.fit = np.stack(fit) if same else fit
-        self.probe = np.stack(probe) if same else probe
         self.memos = [[lattice._memo] for _ in self.seeds]
 
     def take(self, sel: list[int]) -> "_Slots":
@@ -472,25 +469,45 @@ def _codebook(raw: np.ndarray, slots: _Slots, k: int):
         return _lattice_and_shell(gen, SUPPORT_RADIUS)
 
 
+def _codebooks(raw: np.ndarray, slots: _Slots, sel) -> list:
+    """_codebook of each slot k of sel, whose raw matrix is the matching
+    row of raw, or the geometry error its normalization raised."""
+    out = []
+    for i, k in enumerate(sel):
+        try:
+            out.append(_codebook(raw[i], slots, k))
+        except (GeometryError, ResourceLimitError) as exc:
+            out.append(exc)
+    return out
+
+
 def _stacked(lats: list[TruncatedLattice]) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([lat.gen for lat in lats]), np.stack([lat.inv for lat in lats])
 
 
-def _scale_and_slope(fit: np.ndarray, lats: list[TruncatedLattice], u: np.ndarray, target: float):
+def _scale_and_slope(fits: list, lats: list[TruncatedLattice], probes: list, target: float):
     """Each slot's zeta and d zeta / d gen (see _pinned_scale) for its fit
-    set fit (U, n, L) under the probe coordinates u (U, n, L)."""
-    gen, inv = _stacked(lats)
-    d, fold = _fold_dithers(u, gen, inv)
-    zeta, p = _fit_scale_pinned(fit, lats[0].gamma, d, target)
-    dzeta = np.zeros_like(gen)
-    pinned = np.flatnonzero(p >= 0)
-    if pinned.size:
-        q = p[pinned]
-        x = fit[pinned, q]
-        y = zeta[pinned, None] * x + d[pinned, q]
-        slope = (x[:, None, :] @ y[:, :, None])[:, 0, 0]  # half of d||y||^2 / d zeta
-        w = u[pinned, q] - fold[pinned, q]
-        dzeta[pinned] = -(y[:, :, None] * w[:, None, :]) / slope[:, None, None]
+    set fits[k] (n_k, L) under its probe coordinates probes[k] (n_k, L).
+    The slots whose fit sets share a size run as one stack."""
+    zeta = np.empty(len(fits))
+    dzeta = np.zeros((len(fits), *lats[0].gen.shape))
+    by_size: dict[int, list[int]] = {}
+    for k, fit in enumerate(fits):
+        by_size.setdefault(fit.shape[0], []).append(k)
+    for ks in by_size.values():
+        fit, u = np.stack([fits[k] for k in ks]), np.stack([probes[k] for k in ks])
+        gen, inv = _stacked([lats[k] for k in ks])
+        d, fold = _fold_dithers(u, gen, inv)
+        z, p = _fit_scale_pinned(fit, lats[0].gamma, d, target)
+        zeta[ks] = z
+        pinned = np.flatnonzero(p >= 0)
+        if pinned.size:
+            q = p[pinned]
+            x = fit[pinned, q]
+            y = z[pinned, None] * x + d[pinned, q]
+            slope = (x[:, None, :] @ y[:, :, None])[:, 0, 0]  # half of d||y||^2 / d zeta
+            w = u[pinned, q] - fold[pinned, q]
+            dzeta[np.array(ks)[pinned]] = -(y[:, :, None] * w[:, None, :]) / slope[:, None, None]
     return zeta, dzeta
 
 
@@ -510,19 +527,8 @@ def _pinned_scale(blocks, lat: TruncatedLattice, cfg, seed: int | None = None):
     if seed is None:
         seed = derive_seed(cfg.seed, _TAG_MEASURE_PROBE)
     u = _coords(seed, 0, fit.shape[0], lat.dim)
-    zeta, dzeta = _scale_and_slope(fit[None], [lat], u[None], target)
+    zeta, dzeta = _scale_and_slope([fit], [lat], [u], target)
     return float(zeta[0]), dzeta[0]
-
-
-def _measured_scale(slots: _Slots, lats: list[TruncatedLattice]):
-    """Each slot's zeta and d zeta / d gen under its measurement probe."""
-    if isinstance(slots.fit, np.ndarray):
-        return _scale_and_slope(slots.fit, lats, slots.probe, slots.target)
-    parts = [
-        _scale_and_slope(fit[None], [lat], u[None], slots.target)
-        for fit, lat, u in zip(slots.fit, lats, slots.probe)
-    ]
-    return np.concatenate([z for z, _ in parts]), np.concatenate([g for _, g in parts])
 
 
 def _measured_rows(slots: _Slots, ids, lats: list[TruncatedLattice], zeta: np.ndarray):
@@ -553,18 +559,14 @@ def _measure(slots: _Slots, theta: np.ndarray):
     step, over every block.  A slot whose geometry fails measures inf and
     holds its error in place of the codebook."""
     raw, _ = _forward_cached(theta, slots.blocks.shape[-1])
-    lats = []
-    for k in range(theta.shape[0]):
-        try:
-            lats.append(_codebook(raw[k], slots, k)[0])
-        except (GeometryError, ResourceLimitError) as exc:
-            lats.append(exc)
+    books = _codebooks(raw, slots, range(theta.shape[0]))
+    lats = [book[0] if isinstance(book, tuple) else book for book in books]
     good = [k for k, lat in enumerate(lats) if isinstance(lat, TruncatedLattice)]
     mse = np.full(len(lats), np.inf)
     zeta = np.zeros(len(lats))
     if good:
         part, fine = slots.take(good), [lats[k] for k in good]
-        zeta[good], _ = _measured_scale(part, fine)
+        zeta[good], _ = _scale_and_slope(part.fit, fine, part.probe, part.target)
         e, _, _ = _measured_rows(part, None, fine, zeta[good])
         mse[good] = np.einsum("uij,uij->u", e, e) / _MEASURE_REPS
     return mse, lats, zeta
@@ -638,7 +640,7 @@ def _measured_mse_grad(
         theta, batch_ids, gen, lat = theta[None], np.asarray(batch_ids)[None], gen[None], [lat]
         cfg = _Slots([cfg], blocks[None])
     raw, cache = _forward_cached(theta, lattice_dim) if fwd is None else fwd
-    zeta, dzeta = _measured_scale(cfg, lat)
+    zeta, dzeta = _scale_and_slope(cfg.fit, lat, cfg.probe, cfg.target)
     e, a, ag = _measured_rows(cfg, batch_ids, lat, zeta)
     loss = np.einsum("uij,uij->u", e, e) / _MEASURE_REPS
     zs = [float(z) for z in zeta]
@@ -701,12 +703,6 @@ def _project_ties(theta, lattice_dim, raw, cache, shell, dtheta) -> None:
             dtheta[rows] = dtheta[rows] - (coef[:, None, :] @ cons)[:, 0, :]
 
 
-def _rows(sel: list[int], count: int):
-    """An index of the rows sel of count: a slice, so a view, when sel is
-    every row in order."""
-    return slice(None) if sel == list(range(count)) else sel
-
-
 def _learn_group(
     nets: list[PriorNet],
     w_ts: list[np.ndarray],
@@ -760,47 +756,43 @@ def _learn_group(
             sel = list(live)
             if not sel:
                 break
-            raw, (a1, a2) = _forward_cached(theta[_rows(sel, n_slots)], dim)
-            ok, lats, shells, grads = [], [], [], []
+            raw, (a1, a2) = _forward_cached(theta[sel], dim)
+            books = _codebooks(raw, slots, sel)
+            ok = [i for i, book in enumerate(books) if isinstance(book, tuple)]
             for i, k in enumerate(sel):
-                try:
-                    lat, shell = _codebook(raw[i], slots, k)
-                    if cfg.loss_kind != "mse":
-                        # The batch's scale fit and dithers, as fit_scale and
-                        # dithers_at draw them, folded with the codebook's inverse.
-                        batch = slots.blocks[k][batches[k][b]]
-                        seed = derive_seed(slots.seeds[k], _TAG_BATCH_PROBE, epoch, b)
-                        zeta, _ = _pinned_scale(batch, lat, cfg, seed)
-                        seed = derive_seed(slots.seeds[k], _TAG_BATCH_DITHER, epoch, b)
-                        u = _coords(seed, 0, batch.shape[0], dim)
-                        d, _ = _fold_dithers(u, lat.gen, lat.inv)
-                        grads.append(_lattice_grad(
-                            theta[k], dim, batch, lat, zeta, cfg.loss_kind, d, w_ts[k],
-                            objectives[k], split[k][1], fwd=(raw[i], (a1[i], a2[i])),
-                        )[1])
-                except (GeometryError, ResourceLimitError):
+                if i not in ok:
                     theta[k] = last_valid[k]
                     eta[k] *= 0.1
                     reversions[k] += 1
                     if reversions[k] > 3:
                         live.remove(k)
-                    continue
-                ok.append(i)
-                lats.append(lat)
-                shells.append(shell)
             if not ok:
                 continue
-            rows = [sel[i] for i in ok]
-            at = _rows(rows, n_slots)
+            at = [sel[i] for i in ok]
+            lats = [books[i][0] for i in ok]
             if cfg.loss_kind == "mse":
-                ids = np.stack([batches[k][b] for k in rows])
+                ids = np.stack([batches[k][b] for k in at])
                 gens = np.stack([lat.gen for lat in lats])
-                part = _rows(ok, len(sel))
-                fwd = (raw[part], (a1[part], a2[part]))
+                fwd = (raw[ok], (a1[ok], a2[ok]))
+                shells = [books[i][1] for i in ok]
                 _, dtheta = _measured_mse_grad(
-                    theta[at], dim, None, ids, gens, lats, slots.take(rows), shells, fwd
+                    theta[at], dim, None, ids, gens, lats, slots.take(at), shells, fwd
                 )
             else:
+                grads = []
+                for i, k, lat in zip(ok, at, lats):
+                    # The batch's scale fit and dithers, as fit_scale and
+                    # dithers_at draw them, folded with the codebook's inverse.
+                    batch = slots.blocks[k][batches[k][b]]
+                    seed = derive_seed(slots.seeds[k], _TAG_BATCH_PROBE, epoch, b)
+                    zeta, _ = _pinned_scale(batch, lat, cfg, seed)
+                    seed = derive_seed(slots.seeds[k], _TAG_BATCH_DITHER, epoch, b)
+                    u = _coords(seed, 0, batch.shape[0], dim)
+                    d, _ = _fold_dithers(u, lat.gen, lat.inv)
+                    grads.append(_lattice_grad(
+                        theta[k], dim, batch, lat, zeta, cfg.loss_kind, d, w_ts[k],
+                        objectives[k], split[k][1], fwd=(raw[i], (a1[i], a2[i])),
+                    )[1])
                 dtheta = np.stack(grads)
             last_valid[at] = theta[at]
             theta[at] -= eta[at, None] * dtheta

@@ -21,6 +21,8 @@ from .lattice import TruncatedLattice, _cube_search, check_generator, quantize_b
 
 _SCALE_FLOOR = 1e-9
 _SCALE_CEIL = 1e9
+# Fewest samples second_moment estimates from.
+_MOMENT_MIN_SAMPLES = 10**3
 
 
 class DitherStream:
@@ -33,6 +35,8 @@ class DitherStream:
     """
 
     def __init__(self, seed: int, gen: np.ndarray, counter: int = 0):
+        if counter < 0:
+            raise ValueError(f"counter must be >= 0, got {counter}")
         self.seed = int(seed)
         self.gen = check_generator(gen)
         self.counter = int(counter)
@@ -59,6 +63,9 @@ def dithers_at(seed: int, gen: np.ndarray, start: int, count: int) -> np.ndarray
     nearest lattice point.  Folding a fundamental-cell sample this way is
     measure-preserving, so the result is uniform over the basic cell.
     """
+    for name, value in (("start", start), ("count", count)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     gen = check_generator(gen)
     return _fold_dithers(_coords(seed, start, count, gen.shape[0]), gen, np.linalg.inv(gen))[0]
 
@@ -160,8 +167,8 @@ def second_moment(
     dithers_at(seed, gen, 0, n_samples), drawn 2^17 at a time from one
     validated generator and its inverse.
     """
-    if n_samples < 10**3:
-        raise ValueError("need at least 1e3 samples for a usable estimate")
+    if n_samples < _MOMENT_MIN_SAMPLES:
+        raise ValueError(f"need at least {_MOMENT_MIN_SAMPLES} samples for a usable estimate")
     gen = check_generator(gen)
     inv = np.linalg.inv(gen)
     dim = gen.shape[0]

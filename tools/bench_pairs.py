@@ -13,8 +13,9 @@ Pair k runs
 once on each side, the sides taking turns on which goes first, and every
 run is printed as it ends.  The summary of each end-to-end metric gives
 the quartiles of either side's values, how many pairs the change was
-lower in and how many tied.  The file goes to ``BENCH_<label>.json`` at
-the root of this checkout.
+lower in, how many it was better in (lower or higher, as the metric's
+``better`` in BENCHMARK.json says) and how many tied.  The file goes to
+``BENCH_<label>.json`` at the root of this checkout.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMAND = "python3 bench/run.py --workload <w> --seed <s> --seconds {seconds} --trace 0"
+# Metric name -> "lower" or "higher", the direction in which it is better.
+BETTER = {
+    m["name"]: m["better"]
+    for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+}
 
 
 def parent_tree(rev: str, dest: Path) -> None:
@@ -65,8 +71,9 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 def summarize(runs: list[dict]) -> dict:
     """Per end-to-end metric: unit, each side's quartiles, the number of
-    pairs, and the pairs in which the change was lower or tied.  runs holds
-    one parent and one change run per seed, in any order."""
+    pairs, and the pairs in which the change was lower, better (per BETTER)
+    or tied.  runs holds one parent and one change run per seed, in any
+    order."""
     by_seed: dict[int, dict[str, dict]] = {}
     for run in runs:
         by_seed.setdefault(run["seed"], {})[run["side"]] = run["result"]["metrics"]
@@ -75,12 +82,14 @@ def summarize(runs: list[dict]) -> dict:
     for name, first in pairs[0][0].items():
         parent = [p[name]["value"] for p, _ in pairs]
         change = [c[name]["value"] for _, c in pairs]
+        higher = BETTER[name] == "higher"
         summary[name] = {
             "unit": first["unit"],
             "parent": quartiles(parent),
             "change": quartiles(change),
             "pairs": len(pairs),
             "change_lower": sum(c < p for p, c in zip(parent, change)),
+            "change_better": sum((c > p) if higher else (c < p) for p, c in zip(parent, change)),
             "ties": sum(c == p for p, c in zip(parent, change)),
         }
     return summary
