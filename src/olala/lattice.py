@@ -357,9 +357,10 @@ def _cube_search(
     """Babai point refined over the offset cube; returns the coefficient
     vectors and, with certify, a per-row certificate (else all False).
 
-    gen, inv (U, L, L) and xs (U, n, L) may carry a leading slot axis;
-    every op acts on each slot's slice as it would on that slot alone.  The
-    cube's candidates are scored by _first_min.
+    gen, inv (U, L, L) and xs (U, n, L) may carry a leading slot axis, or
+    one gen, inv serve every slot of xs; every op acts on each slot's slice
+    as it would on that slot alone.  The cube's candidates are scored by
+    _first_min.
 
     Let r be the Babai residual x - G l0 and d the distance to the answer.
     Any lattice point l within distance e of x has
@@ -397,7 +398,8 @@ def _first_min(cands: np.ndarray, sq: np.ndarray, xs: np.ndarray, runner_up: boo
     runner_up also that minimum score and the least score of the others.
 
     cands (U, K, L), sq (U, K) and xs (U, n, L) may carry a leading slot
-    axis, each slot scored as it is alone.  Rows run in chunks of at most
+    axis, or one cands, sq serve every slot of xs, each slot scored as it is
+    alone.  Rows run in chunks of at most
     _SCORE_CHUNK scores per slot, and slots in chunks that keep a chunk of
     scores within _SLOT_CHUNK.
     """
@@ -405,6 +407,9 @@ def _first_min(cands: np.ndarray, sq: np.ndarray, xs: np.ndarray, runner_up: boo
         out = _first_min(cands[None], sq[None], xs[None], runner_up)
         return tuple(a[0] for a in out) if runner_up else out[0]
     slots, n = xs.shape[:2]
+    if cands.ndim == 2:
+        cands = np.broadcast_to(cands, (slots, *cands.shape))
+        sq = np.broadcast_to(sq, (slots, *sq.shape))
     step = max(1, _SCORE_CHUNK // cands.shape[1])
     per = max(1, _SLOT_CHUNK // (cands.shape[1] * max(1, min(n, step))))
     best = np.empty((slots, n), dtype=np.int64)

@@ -423,10 +423,11 @@ class _Slots:
     """The constants of a lockstep group of learners, one slot each, drawn
     once per learning run and read at every step: the knobs the slots share
     (cfg, with the first slot's seed), each slot's seed, blocks (U, n, L)
-    and measurement dither coordinates (U, _MEASURE_REPS, n, L), and lists
-    of its scale fit set, the coordinates of its measurement probe and its
-    enumeration-memo holder (see lattice.memo_slot), which starts from the
-    process's memo."""
+    and measurement dither coordinates (U, _MEASURE_REPS, n, L), lists of
+    its scale fit set and its enumeration-memo holder (see
+    lattice.memo_slot), which starts from the process's memo, and the
+    stacks the scale fits run on: per size of fit set, the slots whose fit
+    sets have it, those fit sets and their measurement probe coordinates."""
 
     def __init__(self, cfgs: list[LearnerConfig], blocks: np.ndarray):
         self.cfg = cfgs[0]
@@ -442,9 +443,16 @@ class _Slots:
         ])
         fits = [_fit_set(b, self.cfg) for b in blocks]
         self.fit, self.target = [f for f, _ in fits], fits[0][1]
-        self.probe = [
+        probes = [
             _coords(derive_seed(seed, _TAG_MEASURE_PROBE), 0, f.shape[0], dim)
             for seed, f in zip(self.seeds, self.fit)
+        ]
+        by_size: dict[int, list[int]] = {}
+        for k, fit in enumerate(self.fit):
+            by_size.setdefault(fit.shape[0], []).append(k)
+        self.fit_stacks = [
+            (ks, np.stack([self.fit[k] for k in ks]), np.stack([probes[k] for k in ks]))
+            for ks in by_size.values()
         ]
         self.memos = [[lattice._memo] for _ in self.seeds]
 
@@ -454,9 +462,16 @@ class _Slots:
         if sel == list(range(len(self.seeds))):
             return self
         out = copy.copy(self)
-        for name in ("seeds", "blocks", "measure", "fit", "probe", "memos"):
+        for name in ("seeds", "blocks", "measure", "fit", "memos"):
             part = getattr(self, name)
             setattr(out, name, part[sel] if isinstance(part, np.ndarray) else [part[i] for i in sel])
+        out.fit_stacks = []
+        for ks, fit, u in self.fit_stacks:
+            row = {k: j for j, k in enumerate(ks)}
+            mine = [i for i, k in enumerate(sel) if k in row]
+            if mine:
+                rows = [row[sel[i]] for i in mine]
+                out.fit_stacks.append((mine, fit[rows], u[rows]))
         return out
 
 
@@ -485,17 +500,13 @@ def _stacked(lats: list[TruncatedLattice]) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([lat.gen for lat in lats]), np.stack([lat.inv for lat in lats])
 
 
-def _scale_and_slope(fits: list, lats: list[TruncatedLattice], probes: list, target: float):
-    """Each slot's zeta and d zeta / d gen (see _pinned_scale) for its fit
-    set fits[k] (n_k, L) under its probe coordinates probes[k] (n_k, L).
-    The slots whose fit sets share a size run as one stack."""
-    zeta = np.empty(len(fits))
-    dzeta = np.zeros((len(fits), *lats[0].gen.shape))
-    by_size: dict[int, list[int]] = {}
-    for k, fit in enumerate(fits):
-        by_size.setdefault(fit.shape[0], []).append(k)
-    for ks in by_size.values():
-        fit, u = np.stack([fits[k] for k in ks]), np.stack([probes[k] for k in ks])
+def _scale_and_slope(fit_stacks: list, lats: list[TruncatedLattice], target: float):
+    """Each slot's zeta and d zeta / d gen (see _pinned_scale), one stack
+    (ks, fits (k, n, L), probes (k, n, L)) of fit_stacks at a time: the
+    slots ks, their fit sets and their probe coordinates."""
+    zeta = np.empty(len(lats))
+    dzeta = np.zeros((len(lats), *lats[0].gen.shape))
+    for ks, fit, u in fit_stacks:
         gen, inv = _stacked([lats[k] for k in ks])
         d, fold = _fold_dithers(u, gen, inv)
         z, p = _fit_scale_pinned(fit, lats[0].gamma, d, target)
@@ -527,7 +538,7 @@ def _pinned_scale(blocks, lat: TruncatedLattice, cfg, seed: int | None = None):
     if seed is None:
         seed = derive_seed(cfg.seed, _TAG_MEASURE_PROBE)
     u = _coords(seed, 0, fit.shape[0], lat.dim)
-    zeta, dzeta = _scale_and_slope([fit], [lat], [u], target)
+    zeta, dzeta = _scale_and_slope([([0], fit[None], u[None])], [lat], target)
     return float(zeta[0]), dzeta[0]
 
 
@@ -566,7 +577,7 @@ def _measure(slots: _Slots, theta: np.ndarray):
     zeta = np.zeros(len(lats))
     if good:
         part, fine = slots.take(good), [lats[k] for k in good]
-        zeta[good], _ = _scale_and_slope(part.fit, fine, part.probe, part.target)
+        zeta[good], _ = _scale_and_slope(part.fit_stacks, fine, part.target)
         e, _, _ = _measured_rows(part, None, fine, zeta[good])
         mse[good] = np.einsum("uij,uij->u", e, e) / _MEASURE_REPS
     return mse, lats, zeta
@@ -640,7 +651,7 @@ def _measured_mse_grad(
         theta, batch_ids, gen, lat = theta[None], np.asarray(batch_ids)[None], gen[None], [lat]
         cfg = _Slots([cfg], blocks[None])
     raw, cache = _forward_cached(theta, lattice_dim) if fwd is None else fwd
-    zeta, dzeta = _scale_and_slope(cfg.fit, lat, cfg.probe, cfg.target)
+    zeta, dzeta = _scale_and_slope(cfg.fit_stacks, lat, cfg.target)
     e, a, ag = _measured_rows(cfg, batch_ids, lat, zeta)
     loss = np.einsum("uij,uij->u", e, e) / _MEASURE_REPS
     zs = [float(z) for z in zeta]

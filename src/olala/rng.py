@@ -35,24 +35,30 @@ def stream_unit(seed: int, index: int) -> float:
     return (stream_u64(seed, index) >> 11) * 2.0**-53
 
 
-def stream_unit_block(seed: int, start: int, count: int) -> np.ndarray:
+def stream_unit_block(seed, start: int, count: int) -> np.ndarray:
     """Vectorized [0,1) uniforms for indices start .. start+count-1.
 
-    Bit-identical to calling stream_unit in a loop.
+    Bit-identical to calling stream_unit in a loop.  seed may be a 1-D
+    sequence of seeds: then row i holds the block of stream seed[i].
     """
+    if np.ndim(seed) == 1:
+        root = np.array([int(s) & _MASK for s in seed], dtype=np.uint64)[:, None]
+    else:
+        root = np.uint64(seed & _MASK)
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = (np.uint64(seed & _MASK) + idx * np.uint64(_GOLDEN)).astype(np.uint64)
+        z = (root + idx * np.uint64(_GOLDEN)).astype(np.uint64)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
         z = z ^ (z >> np.uint64(31))
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def normal_block(seed_a: int, seed_b: int, count: int) -> np.ndarray:
+def normal_block(seed_a, seed_b, count: int) -> np.ndarray:
     """count standard normals by Box-Muller from uniforms 0 .. count-1 of
     the streams rooted at seed_a (radius) and seed_b (angle), so a corpus
-    drawn from them does not depend on any library generator's layout."""
+    drawn from them does not depend on any library generator's layout.
+    With 1-D sequences of seeds, row i is the block of seed_a[i], seed_b[i]."""
     u1 = stream_unit_block(seed_a, 0, count)
     u2 = stream_unit_block(seed_b, 0, count)
     return np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)

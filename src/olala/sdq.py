@@ -70,18 +70,21 @@ def dithers_at(seed: int, gen: np.ndarray, start: int, count: int) -> np.ndarray
     return _fold_dithers(_coords(seed, start, count, gen.shape[0]), gen, np.linalg.inv(gen))[0]
 
 
-def _coords(seed: int, start: int, count: int, dim: int) -> np.ndarray:
+def _coords(seed, start: int, count: int, dim: int) -> np.ndarray:
     """Parallelepiped coordinates u of dithers start .. start+count-1 of the
     stream rooted at seed, one row of dim consecutive uniforms per dither:
-    the layout client and server share, and the u that dithers_at folds."""
-    return rng.stream_unit_block(seed, start * dim, count * dim).reshape(count, dim)
+    the layout client and server share, and the u that dithers_at folds.
+    A 1-D sequence of seeds gives one (count, dim) slice per seed."""
+    u = rng.stream_unit_block(seed, start * dim, count * dim)
+    return u.reshape(*u.shape[:-1], count, dim)
 
 
 def _fold_dithers(u: np.ndarray, gen: np.ndarray, inv: np.ndarray):
     """Dithers from parallelepiped coordinates u (rows in [0,1)^L), folded
     onto the basic cell, and the integer fold (nearest_point_batch's point)
     subtracted from each; gen is validated and inv is its inverse.  u
-    (U, n, L) and gen, inv (U, L, L) may carry a leading slot axis.
+    (U, n, L) and gen, inv (U, L, L) may carry a leading slot axis, or one
+    gen, inv fold every slot of u.
 
     d == (u - fold) @ gen.T, so with the fold held fixed a dither is linear
     in the generator.

@@ -12,10 +12,15 @@ Pair k runs
 ``bench/run.py --workload <w> --seed <seed + k> --seconds <s> --trace 0``
 once on each side, the sides taking turns on which goes first, and every
 run is printed as it ends.  The summary of each end-to-end metric gives
-the quartiles of either side's values, how many pairs the change was
-lower in, how many it was better in (lower or higher, as the metric's
-``better`` in BENCHMARK.json says) and how many tied.  The file goes to
-``BENCH_<label>.json`` at the root of this checkout.
+the quartiles of either side's values, the parent's interquartile range,
+how many pairs the change was lower in, how many it was better in (lower
+or higher, as the metric's ``better`` in BENCHMARK.json says) and how many
+tied, the metric's ``bound`` from BENCHMARK.json, and two verdicts:
+``worse_beyond_bound`` (the change's median is worse than the parent's by
+more than the bound, relative to the parent's median) and ``gain_shown``
+(the change is better in at least 9 of 10 pairs and its median is better
+than the parent's by more than the parent's interquartile range).  The
+file goes to ``BENCH_<label>.json`` at the root of this checkout.
 """
 
 from __future__ import annotations
@@ -32,11 +37,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMAND = "python3 bench/run.py --workload <w> --seed <s> --seconds {seconds} --trace 0"
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 # Metric name -> "lower" or "higher", the direction in which it is better.
-BETTER = {
-    m["name"]: m["better"]
-    for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-}
+BETTER = {m["name"]: m["better"] for m in DECLARED}
+# Metric name -> how much worse than the parent's, relative to it, the
+# change's median may be.
+BOUND = {m["name"]: m["bound"] for m in DECLARED}
 
 
 def parent_tree(rev: str, dest: Path) -> None:
@@ -70,10 +76,11 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Per end-to-end metric: unit, each side's quartiles, the number of
-    pairs, and the pairs in which the change was lower, better (per BETTER)
-    or tied.  runs holds one parent and one change run per seed, in any
-    order."""
+    """Per end-to-end metric: unit, each side's quartiles and the parent's
+    interquartile range, the number of pairs, the pairs in which the change
+    was lower, better (per BETTER) or tied, the metric's bound and the
+    worse_beyond_bound and gain_shown verdicts.  runs holds one parent and
+    one change run per seed, in any order."""
     by_seed: dict[int, dict[str, dict]] = {}
     for run in runs:
         by_seed.setdefault(run["seed"], {})[run["side"]] = run["result"]["metrics"]
@@ -82,15 +89,23 @@ def summarize(runs: list[dict]) -> dict:
     for name, first in pairs[0][0].items():
         parent = [p[name]["value"] for p, _ in pairs]
         change = [c[name]["value"] for _, c in pairs]
-        higher = BETTER[name] == "higher"
+        sign = 1.0 if BETTER[name] == "higher" else -1.0
+        p_q, c_q = quartiles(parent), quartiles(change)
+        iqr = p_q["q3"] - p_q["q1"]
+        gain = sign * (c_q["median"] - p_q["median"])  # > 0: the change's median is better
+        better = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         summary[name] = {
             "unit": first["unit"],
-            "parent": quartiles(parent),
-            "change": quartiles(change),
+            "parent": p_q,
+            "change": c_q,
+            "parent_iqr": iqr,
             "pairs": len(pairs),
             "change_lower": sum(c < p for p, c in zip(parent, change)),
-            "change_better": sum((c > p) if higher else (c < p) for p, c in zip(parent, change)),
+            "change_better": better,
             "ties": sum(c == p for p, c in zip(parent, change)),
+            "bound": BOUND[name],
+            "worse_beyond_bound": -gain > BOUND[name] * abs(p_q["median"]),
+            "gain_shown": 10 * better >= 9 * len(pairs) and gain > iqr,
         }
     return summary
 
