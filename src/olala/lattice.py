@@ -51,6 +51,8 @@ _LOOKUP_CUBES = 4
 _TIE_REL = 1e-9
 # Relative slack on the certificates' bounds for the rounding of G^-1.
 _CERT_SLACK = 1e-9
+# kth_norm's search radius grows by this factor per request.
+_KTH_GROW = 1.25
 # A fresh enumeration covers this multiple of the radius asked for, so the
 # memo answers the next queries of a slowly moving generator.
 _MEMO_WIDEN = 1.1
@@ -184,7 +186,7 @@ def _points_within(
     global _memo
     dim = gen.shape[0]
     reach = float(np.linalg.norm(inv, axis=1).max())
-    total = (2 * int(math.ceil(radius * reach)) + 1) ** dim
+    total = _box_size(reach, radius, dim)
     if total > enum_cap:
         raise ResourceLimitError(
             f"lattice enumeration box has {total} candidates (cap {enum_cap})"
@@ -198,7 +200,7 @@ def _points_within(
         sq = np.einsum("ij,ij->i", pts, pts)
     else:
         wide = radius * _MEMO_WIDEN
-        if (2 * int(math.ceil(wide * reach)) + 1) ** dim > enum_cap:
+        if _box_size(reach, wide, dim) > enum_cap:
             wide = radius
         ls, sq = _enumerate(gen, int(math.ceil(wide * reach)), wide)
         entry = (gen.copy(), wide, ls, sq)
@@ -208,6 +210,12 @@ def _points_within(
             holder[0] = entry
     ok = sq <= radius * radius
     return ls[ok], sq[ok]
+
+
+def _box_size(reach: float, radius: float, dim: int) -> int:
+    """Candidates in _points_within's box for radius, reach being the
+    largest row norm of gen^-1."""
+    return (2 * int(math.ceil(radius * reach)) + 1) ** dim
 
 
 def _memo_covers(memo, gen: np.ndarray, inv: np.ndarray, radius: float) -> bool:
@@ -253,19 +261,28 @@ def build_lattice(
     return _build(gen, gamma, gamma, enum_cap)[0]
 
 
-def _build(gen: np.ndarray, gamma: float, outer: float, enum_cap: int = _ENUM_CAP_DEFAULT):
+def _build(
+    gen: np.ndarray, gamma: float, outer: float, enum_cap: int = _ENUM_CAP_DEFAULT, rows=None
+):
     """The codebook of a validated generator within gamma and, from the same
     enumeration at radius outer >= gamma, the lexicographic coefficient
-    vectors of the points with gamma < norm <= outer."""
+    vectors of the points with gamma < norm <= outer.
+
+    rows, when the caller already holds them, stand in for the enumeration:
+    lexicographic coefficient vectors that include every l with
+    ||gen @ l|| <= outer, and their squared norms computed row by row as
+    _points_within computes them (ls @ gen.T).  Filtered to outer, they are
+    _points_within's answer, bit for bit.
+    """
     inv = np.linalg.inv(gen)
-    ls, sq = _points_within(gen, inv, outer, enum_cap)
+    ls, sq = _points_within(gen, inv, outer, enum_cap) if rows is None else rows
     inside = sq <= gamma * gamma
     index_set = ls[inside]
     lat = TruncatedLattice(
         gen=gen, gamma=float(gamma), index_set=index_set, codebook=index_set @ gen.T
     )
-    object.__setattr__(lat, "inv", inv)  # keep the box's inverse as lat.inv
-    return lat, ls[~inside]
+    object.__setattr__(lat, "inv", inv)  # derived once, as lat.inv would be
+    return lat, ls[~inside & (sq <= outer * outer)]
 
 
 def _box_ids(ls: np.ndarray, bound: int) -> np.ndarray:
@@ -295,23 +312,37 @@ def kth_norm(gen: np.ndarray, k: int) -> tuple[float, int]:
 
     Points are counted with multiplicity, the origin first, so the count can
     exceed k when norms tie at r; a norm within a relative 1e-12 of r counts
-    as tied.  The search starts at the radius whose ball holds k fundamental
-    cells by volume and grows until k points, and every point tied with the
-    k-th, lie inside; ResourceLimitError if the box outgrows the
-    enumeration cap first.
+    as tied.  The search asks first for _KTH_GROW times the radius whose
+    ball holds k fundamental cells by volume (that radius itself when the
+    wider box would pass the enumeration cap), and grows by _KTH_GROW until
+    k points, and every point tied with the k-th, lie inside;
+    ResourceLimitError if the box outgrows the enumeration cap first.
     """
     gen = check_generator(gen)
     return _kth_norm_points(gen, np.linalg.inv(gen), k)[:2]
 
 
 def _kth_norm_points(gen: np.ndarray, inv: np.ndarray, k: int):
-    """kth_norm of a validated generator, and the coefficient vectors of
-    its last enumeration: all points of norm <= r (1 + 1e-12), and more."""
+    """kth_norm of a validated generator, then its last enumeration: the
+    radius it asked for, at least r (1 + 1e-12), and the coefficient
+    vectors of every point within it, in lexicographic order.
+
+    The volume radius fell short of the k-th norm in every learner
+    normalization counted near the hexagonal start, so the first request
+    is one growth step beyond it; in the learner's runs that step also
+    reaches past the band above r whose rows normalize_scale hands on.  It
+    falls back to the volume radius when that step's box is over the cap,
+    so the search raises ResourceLimitError on no input it returned on when
+    it started there: where it returns, so does every wider request, with
+    the same r and count."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     dim = gen.shape[0]
     ball = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
-    radius = (k * abs(float(np.linalg.det(gen))) / ball) ** (1.0 / dim)
+    volume = (k * abs(float(np.linalg.det(gen))) / ball) ** (1.0 / dim)
+    radius = volume * _KTH_GROW
+    if _box_size(float(np.linalg.norm(inv, axis=1).max()), radius, dim) > _ENUM_CAP_DEFAULT:
+        radius = volume
     while True:
         ls, sq = _points_within(gen, inv, radius)
         if sq.size >= k:
@@ -319,8 +350,8 @@ def _kth_norm_points(gen: np.ndarray, inv: np.ndarray, k: int):
             r = float(np.partition(norms, k - 1)[k - 1])
             tied = r * (1.0 + 1e-12)
             if tied <= radius:
-                return r, int(np.count_nonzero(norms <= tied)), ls
-        radius *= 1.25
+                return r, int(np.count_nonzero(norms <= tied)), ls, radius
+        radius *= _KTH_GROW
 
 
 def nearest_point(gen: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -180,18 +180,31 @@ def normalize_scale(raw: np.ndarray, rate: float, gamma: float = SUPPORT_RADIUS)
     until a count over the points that search enumerated (a superset of the
     codewords) agrees.  A raw lattice so fine that r needs a search box
     beyond the enumeration cap raises ResourceLimitError.
+
+    The last count scores every enumerated row under c*raw, the normalized
+    generator.  When the search reached past r (1 + 2 _PIN_TOL), twice the
+    band for the rounding of c and of the norms, those rows hold every l
+    with ||c raw l|| <= gamma (1 + _PIN_TOL), the codebook with its budget
+    shell, so they are left in _normalized for _lattice_and_shell;
+    otherwise _normalized is cleared.
     """
+    global _normalized
     raw = check_generator(raw)
     if not (gamma > 0):
         raise GeometryError(f"support radius must be positive, got {gamma}")
     budget = codeword_budget(raw.shape[0], rate)
-    r, _, ls = _kth_norm_points(raw, np.linalg.inv(raw), budget + 1)
+    r, _, ls, radius = _kth_norm_points(raw, np.linalg.inv(raw), budget + 1)
     c = gamma / r
     while True:
-        pts = ls @ (c * raw).T
-        if np.count_nonzero(np.einsum("ij,ij->i", pts, pts) <= gamma * gamma) <= budget:
-            return c
+        gen = c * raw
+        pts = ls @ gen.T
+        sq = np.einsum("ij,ij->i", pts, pts)
+        if np.count_nonzero(sq <= gamma * gamma) <= budget:
+            break
         c = math.nextafter(c, math.inf)
+    covered = r * (1.0 + 2.0 * _PIN_TOL) <= radius
+    _normalized = (gen, float(gamma), ls, sq) if covered else None
+    return c
 
 
 def normalize_generator(raw: np.ndarray, rate: float, gamma: float = SUPPORT_RADIUS) -> np.ndarray:
@@ -408,6 +421,9 @@ def overload_heuristic_minus1(
 
 _MEASURE_REPS = 4
 _PIN_TOL = 1e-9
+# The last normalization's (generator, gamma, rows, squared norms), when its
+# rows hold the budget shell; see normalize_scale.
+_normalized: tuple[np.ndarray, float, np.ndarray, np.ndarray] | None = None
 
 
 def _fit_set(blocks: np.ndarray, cfg):
@@ -600,8 +616,19 @@ def _measured_mse(theta, lattice_dim, blocks, cfg: LearnerConfig) -> float:
 def _lattice_and_shell(gen: np.ndarray, gamma: float) -> tuple[TruncatedLattice, np.ndarray]:
     """The codebook of a normalized generator and its budget shell: one of
     each +-l pair of the points whose norm pins the normalization, which
-    normalize_generator leaves within a relative _PIN_TOL above gamma."""
-    lat, band = _build(gen, gamma, gamma * (1.0 + _PIN_TOL))
+    normalize_generator leaves within a relative _PIN_TOL above gamma.
+
+    When gen has, bit for bit, the shape and entries of the generator that
+    normalize_scale left in _normalized for this gamma, both come from the
+    rows it scored under gen, which hold every point within gamma (1 +
+    _PIN_TOL); filtered, they are a fresh enumeration's answer, bit for bit
+    (see _build).  Otherwise the points are enumerated."""
+    left = _normalized
+    same = (
+        left is not None and left[1] == gamma
+        and left[0].shape == gen.shape and left[0].tobytes() == gen.tobytes()
+    )
+    lat, band = _build(gen, gamma, gamma * (1.0 + _PIN_TOL), rows=left[2:] if same else None)
     lead = band[np.arange(band.shape[0]), np.argmax(band != 0, axis=1)]
     return lat, band[lead > 0]
 

@@ -2,12 +2,14 @@
 is bit for bit the answer of a fresh box enumeration."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import olala.lattice as lattice
+import olala.learning as learning
 from olala.errors import ResourceLimitError
 from olala.lattice import GEN_HEXAGONAL, build_lattice
 
@@ -129,3 +131,93 @@ def test_codebooks_match_with_and_without_memo():
         ref = build_lattice(gen, 1.0)
         assert np.array_equal(served.index_set, ref.index_set)
         assert served.codebook.tobytes() == ref.codebook.tobytes()
+
+
+def _strictly_lexicographic(ls):
+    """Every row follows the one before it in lexicographic order, so no
+    coefficient vector repeats."""
+    step = np.diff(ls, axis=0)
+    lead = step[np.arange(step.shape[0]), np.argmax(step != 0, axis=1)]
+    return bool(np.all(lead > 0))
+
+
+def _fresh_codebook_and_shell(gen):
+    """_lattice_and_shell from a fresh enumeration: no rows handed over
+    and the memo cleared."""
+    learning._normalized = lattice._memo = None
+    with mock.patch.object(lattice, "_enumerate", wraps=lattice._enumerate) as enumerate_:
+        out = learning._lattice_and_shell(gen, 1.0)
+    assert enumerate_.call_count == 1
+    return out
+
+
+def _assert_same_codebook_and_shell(got, ref):
+    (lat, shell), (ref_lat, ref_shell) = got, ref
+    for a, b in ((lat.index_set, ref_lat.index_set), (shell, ref_shell)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert _strictly_lexicographic(a)
+    assert lat.codebook.tobytes() == ref_lat.codebook.tobytes()
+    assert lat.inv.tobytes() == ref_lat.inv.tobytes()
+    assert shell.shape[0] >= 1  # the (budget+1)-th norm sits just above gamma
+
+
+@PROPERTY
+@given(
+    dim=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.sampled_from([0.05, 0.2, 0.4]),
+    rate=st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0]),
+    warm=st.booleans(),
+)
+@example(dim=2, seed=0, spread=0.0, rate=3.0, warm=False)  # eye(2), and the warm start
+def test_codebook_and_shell_from_the_normalization_rows_equal_fresh_ones(
+    dim, seed, spread, rate, warm
+):
+    # The codebook and budget shell that _lattice_and_shell filters from the
+    # rows normalize_scale scored are, bit for bit, those of a fresh
+    # enumeration, and no coefficient vector repeats.
+    raws = [np.eye(dim) + spread * np.random.default_rng(seed).normal(size=(dim, dim))]
+    if (dim, rate) == (2, 3.0):
+        raws.append(GEN_HEXAGONAL)  # the warm start: a 12-point tie shell at the boundary
+    for raw in raws:
+        if not warm:
+            lattice._memo = None
+        try:
+            gen = learning.normalize_generator(raw, rate)
+        except ResourceLimitError:  # too skewed for the enumeration cap
+            continue
+        left = learning._normalized
+        assert left is not None and left[0].tobytes() == gen.tobytes()
+        assert _strictly_lexicographic(left[2])
+        with mock.patch.object(lattice, "_points_within", wraps=lattice._points_within) as within:
+            got = learning._lattice_and_shell(gen, 1.0)
+        assert within.call_count == 0  # served from the normalization's rows
+        _assert_same_codebook_and_shell(got, _fresh_codebook_and_shell(gen))
+        other = np.nextafter(gen, np.inf)  # not the generator the rows were scored under
+        learning._normalized = left
+        with mock.patch.object(lattice, "_points_within", wraps=lattice._points_within) as within:
+            learning._lattice_and_shell(other, 1.0)
+        assert within.call_count == 1
+
+
+def test_rows_short_of_the_budget_band_are_not_handed_over(monkeypatch):
+    # The warm start's 12 tied points, split by 1e-11: a search that stops
+    # at r (1 + 1e-12), as kth_norm may, holds only part of the band above
+    # gamma, so normalize_scale hands no rows over and the codebook and
+    # shell are enumerated.
+    raw = GEN_HEXAGONAL + 1e-11 * np.random.default_rng(0).normal(size=(2, 2))
+    real = learning._kth_norm_points
+
+    def stops_early(gen, inv, k):
+        r, ties, ls, _ = real(gen, inv, k)
+        pts = ls @ gen.T
+        edge = r * (1.0 + 1e-12)
+        return r, ties, ls[np.einsum("ij,ij->i", pts, pts) <= edge * edge], edge
+
+    monkeypatch.setattr(learning, "_kth_norm_points", stops_early)
+    gen = learning.normalize_generator(raw, 3.0)
+    assert learning._normalized is None
+    got = learning._lattice_and_shell(gen, 1.0)
+    ref = _fresh_codebook_and_shell(gen)
+    _assert_same_codebook_and_shell(got, ref)
+    assert ref[1].shape[0] > 1

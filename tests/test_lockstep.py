@@ -1,6 +1,8 @@
 """The lockstep group learner: a round's adapting clients learn as one
 stacked computation, and each client's result is the one it gets alone."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,52 @@ def test_a_slot_enumerates_no_more_boxes_in_a_group_than_alone(monkeypatch):
         _fresh_per_slot(monkeypatch, [nets[k]], [hs[k]], [cfgs[k]])[0] for k in range(U)
     ]
     assert all(0 < g <= a for g, a in zip(group, alone))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(rounds=2, lattice_epochs=2), dict(lattice_dim=4, n_users=1, rounds=2, lattice_epochs=1)],
+    ids=["default_L2_R3", "L4_R3"],
+)
+def test_each_slot_enumerates_once_per_normalization(monkeypatch, overrides):
+    # The default config (and L=4) shrunk in rounds and epochs, as the
+    # fl_olala benchmark workloads run it: every _codebook call, one per
+    # slot and step, asks _points_within once, in the normalization's norm
+    # search, and the codebook and shell come from that answer's rows.
+    log = []  # per _codebook call: _points_within calls by stage
+    stage = [None]
+    real_within = lattice._points_within
+
+    def within(*args, **kwargs):
+        if stage[0] is not None:
+            log[-1][stage[0]] += 1
+        return real_within(*args, **kwargs)
+
+    def staged(name, fn):
+        def wrapped(*args, **kwargs):
+            outer, stage[0] = stage[0], name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage[0] = outer
+
+        return wrapped
+
+    real_codebook = learning._codebook
+
+    def codebook(raw, slots, k):
+        log.append(collections.Counter())
+        return real_codebook(raw, slots, k)
+
+    monkeypatch.setattr(lattice, "_points_within", within)
+    monkeypatch.setattr(learning, "_codebook", codebook)
+    for name in ("normalize_generator", "_lattice_and_shell"):
+        monkeypatch.setattr(learning, name, staged(name, getattr(learning, name)))
+    cfg = ExperimentConfig(**overrides)
+    run_fl(cfg)
+    steps = 1 + cfg.lattice_epochs * cfg.lattice_batches + 1  # start, steps, final weights
+    assert len(log) == cfg.rounds * cfg.n_users * steps
+    assert all(calls == {"normalize_generator": 1} for calls in log)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -1e-2, float("inf"), 0.0])

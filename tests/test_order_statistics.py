@@ -78,6 +78,16 @@ def test_kth_norm_matches_brute_force(gen, k):
     assert ties == ties_ref >= k
 
 
+def test_kth_norm_search_stays_within_the_cap_where_its_volume_start_fits():
+    # In Z^9 the 835th norm is sqrt(3) (1 + 18 + 144 + 672 points), inside
+    # the volume radius 1.85, whose box 5^9 fits the enumeration cap; one
+    # growth step (7^9 candidates) would not, so the search starts at the
+    # volume radius and answers there.
+    assert kth_norm(np.eye(9), 835) == (math.sqrt(3.0), 835)
+    c = normalize_scale(np.eye(9), math.log2(834) / 9)  # a budget of 834
+    assert c == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
+
+
 @PROPERTY
 @given(raw=generators(), rate=RATES)
 @example(raw=GEN_HEXAGONAL, rate=3.0)
