@@ -2,7 +2,8 @@
 
 Each round: the server broadcasts the model; every client runs local SGD,
 optionally relearns its lattice, scales and SDQ-encodes its update, and
-ships integer indices plus (generator, zeta) metadata.  The clients that
+ships integer indices plus (generator, zeta) metadata.  A round's clients
+run local SGD as one lockstep group (_train_group), and the clients that
 relearn in a round do so as one lockstep group (learning._learn_group).  The
 server rebuilds each client's dither stream from the shared seed and
 decodes.  Everything is a pure function of the experiment config and master
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .data import Dataset, load_idx_dataset, partition_dataset, synthetic_dataset
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, NumericError, ProtocolError
 from .lattice import (
     GEN_A2,
     GEN_D2,
@@ -44,7 +45,7 @@ from .learning import (
     init_prior_net,
     normalize_generator,
 )
-from .models import ModelArch, _sgd_steps, accuracy, init_params, make_objective
+from .models import ModelArch, _sgd_lockstep, accuracy, init_params, make_objective
 from .sdq import (
     DitherStream,
     SdqCodec,
@@ -87,8 +88,8 @@ def bits_accounting(m: int, rate: float, lattice_dim: int, include_zeta: bool = 
     return bits + 64 if include_zeta else bits
 
 
-# Local SGD steps whose rows are gathered at once: about 6 MB of 784-pixel
-# float64 rows, one gather for every default-sized call.
+# Local SGD rows gathered at once across a group: about 6 MB of 784-pixel
+# float64 rows, so a default round (5 clients, 50 steps) gathers once.
 _GATHER_STEPS = 1024
 
 
@@ -102,24 +103,68 @@ def local_train(
     seed: int,
 ) -> np.ndarray:
     """Single-sample SGD for `steps` steps; returns the update h = w' - w.
+    The one-client view of _train_group."""
+    return _train_group(arch, params, [(shard_x, shard_y)], steps, eta, [seed])[0]
 
-    The caller's parameter vector is untouched; step s trains on row
-    int(stream_unit(seed, s) * n) of the n-row shard.  Steps run one sample
-    each on layer views prepared once (models._sgd_steps), bit-identical to
-    descending loss_and_grad on that row.  Rows are gathered _GATHER_STEPS
-    steps at a time, so memory stays bounded for any step count.
+
+def _train_group(
+    arch: ModelArch,
+    params: np.ndarray,
+    shards: list[tuple[np.ndarray, np.ndarray]],
+    steps: int,
+    eta: float,
+    seeds: list[int],
+) -> list[np.ndarray]:
+    """Local SGD of a group of clients from one parameter vector, as one
+    lockstep computation (models._sgd_lockstep); returns each client's
+    update h = w' - w, in the order of shards.
+
+    Client k trains on its shard (x, y) under seeds[k]: its step s uses row
+    int(stream_unit(seeds[k], s) * n) of its n-row shard, each step
+    bit-identical to descending loss_and_grad on that row, so an update does
+    not depend on the group.  The caller's parameter vector is untouched.
+    The rows are gathered into float64 a chunk of steps at a time, at most
+    _GATHER_STEPS rows across the whole group per chunk (clients beyond
+    that many train as further groups), so memory stays bounded for any
+    step count and group size.  A group of one trains on 2-D arrays, on
+    which a step costs less than on a stack of one.  Steps below one and
+    an empty shard are rejected before any step.  A non-finite loss raises
+    the NumericError that training the clients one after another would:
+    that of the lowest-index failing client, at its first failing step.
     """
     if steps < 1:
         raise ValueError("need at least one local step")
-    n = shard_y.shape[0]
-    if n == 0:
+    if any(y.shape[0] == 0 for _, y in shards):
         raise ValueError("cannot train on an empty shard")
-    w = params.copy()
-    for start in range(0, steps, _GATHER_STEPS):
-        count = min(_GATHER_STEPS, steps - start)
-        rows = (rng.stream_unit_block(seed, start, count) * n).astype(np.int64)
-        _sgd_steps(arch, w, shard_x[rows], shard_y[rows], eta, start)
-    return w - params
+    if len(shards) > _GATHER_STEPS:
+        return [
+            h for lo in range(0, len(shards), _GATHER_STEPS)
+            for h in _train_group(
+                arch, params, shards[lo : lo + _GATHER_STEPS], steps, eta,
+                seeds[lo : lo + _GATHER_STEPS],
+            )
+        ]
+    lead = (len(shards),) if len(shards) > 1 else ()
+    w = np.broadcast_to(params, lead + params.shape).copy()
+    bad = np.zeros((len(shards), steps), dtype=bool)
+    chunk = min(_GATHER_STEPS // len(shards), steps)
+    x_rows = np.empty(lead + (chunk, shards[0][0].shape[1]))
+    y_rows = np.empty(lead + (chunk,), dtype=np.int64)
+    for start in range(0, steps, chunk):
+        count = min(chunk, steps - start)
+        x, y = x_rows[..., :count, :], y_rows[..., :count]
+        for k, ((shard_x, shard_y), seed) in enumerate(zip(shards, seeds)):
+            rows = (rng.stream_unit_block(seed, start, count) * shard_y.shape[0]).astype(np.int64)
+            slot = k if lead else ...
+            x[slot] = shard_x[rows]
+            y[slot] = shard_y[rows]
+        bad[:, start : start + count] = _sgd_lockstep(arch, w, x, y, eta).reshape(-1, count)
+        if bad[0].any():  # no client before the first can fail later
+            break
+    failing = bad.any(axis=1)
+    if failing.any():
+        raise NumericError(f"non-finite loss at local step {int(bad[failing.argmax()].argmax())}")
+    return list((w - params).reshape(-1, params.size))
 
 
 def evaluate(arch: ModelArch, params: np.ndarray, test: Dataset) -> float:
@@ -227,18 +272,17 @@ def client_round(client: ClientState, w_global: np.ndarray, t: int, cfg) -> Payl
 
 
 def _round_group(clients: list[ClientState], w_global: np.ndarray, t: int, cfg) -> list[Payload]:
-    """Round t of a group of clients, in three phases: local training per
-    client; adaptation of every client that adapts this round, as one
-    lockstep learner group; scale fit and encoding per client.  Reads the
-    clients and writes none of them: run_fl applies each payload's theta
-    and gen.  A client's payload does not depend on the group it ran in."""
-    hs = [
-        local_train(
-            cfg.arch(), w_global, c.shard_x, c.shard_y, cfg.local_steps, cfg.model_lr,
-            rng.derive_seed(c.seed_root, t, rng.TAG_LOCAL_SGD),
-        )
-        for c in clients
-    ]
+    """Round t of a group of clients, in three phases: local training of
+    every client, as one lockstep group (_train_group); adaptation of every
+    client that adapts this round, as one lockstep learner group; scale fit
+    and encoding per client, each distinct held generator's codebook built
+    once.  Reads the clients and writes none of them: run_fl applies each
+    payload's theta and gen.  A client's payload does not depend on the
+    group it ran in."""
+    hs = _train_group(
+        cfg.arch(), w_global, [(c.shard_x, c.shard_y) for c in clients], cfg.local_steps,
+        cfg.model_lr, [rng.derive_seed(c.seed_root, t, rng.TAG_LOCAL_SGD) for c in clients],
+    )
     adapting = [
         k for k, c in enumerate(clients)
         if c.quantizer_kind != "none" and _adapts_this_round(c.quantizer_kind, t, cfg.adapt_every)
@@ -259,13 +303,25 @@ def _round_group(clients: list[ClientState], w_global: np.ndarray, t: int, cfg) 
             [(clients[k].shard_x, clients[k].shard_y) for k in adapting],
         )
         learned = dict(zip(adapting, group))
-    return [_encode(c, hs[k], t, cfg, learned.get(k)) for k, c in enumerate(clients)]
+    codebooks = {}
+    return [_encode(c, hs[k], t, cfg, learned.get(k), codebooks) for k, c in enumerate(clients)]
 
 
-def _encode(client: ClientState, h: np.ndarray, t: int, cfg, learned) -> Payload:
+def _held_codebook(codebooks: dict, gen: np.ndarray) -> TruncatedLattice:
+    """build_lattice(gen, SUPPORT_RADIUS), built once per distinct generator:
+    codebooks maps each generator's shape and bytes to its codebook."""
+    gen = np.asarray(gen, dtype=np.float64)
+    key = (gen.shape, gen.tobytes())
+    if key not in codebooks:
+        codebooks[key] = build_lattice(gen, SUPPORT_RADIUS)
+    return codebooks[key]
+
+
+def _encode(client: ClientState, h: np.ndarray, t: int, cfg, learned, codebooks: dict) -> Payload:
     """Scale fit and SDQ encoding of one client's update h, under the
     lattice it learned this round (learned: the LearnedLattice and its
-    codebook) or else the one it holds."""
+    codebook) or else the one it holds, taken from the round's codebooks
+    (_held_codebook)."""
     m = h.size
     if client.quantizer_kind == "none":
         return Payload(
@@ -279,7 +335,7 @@ def _encode(client: ClientState, h: np.ndarray, t: int, cfg, learned) -> Payload
         gen, theta = client.gen, None if client.net is None else client.net.theta
         if gen is None:
             raise ProtocolError(f"client {client.uid} has no generator configured")
-        lat = build_lattice(gen, SUPPORT_RADIUS)
+        lat = _held_codebook(codebooks, gen)
 
     blocks, pad = split_vector(h, cfg.lattice_dim)
     probe_seed = rng.derive_seed(client.seed_root, t, rng.TAG_PROBE_DITHER)
@@ -324,6 +380,7 @@ def server_round(
 
     Requires exactly one payload per registered client (full participation);
     the sum runs in ascending client id so arrival order is irrelevant.
+    Each distinct generator's codebook is built once per call.
     """
     if len(payloads) != n_users:
         raise ProtocolError(f"round {t}: expected {n_users} payloads, got {len(payloads)}")
@@ -331,12 +388,13 @@ def server_round(
     if len(by_uid) != n_users or set(by_uid) != set(client_seeds):
         raise ProtocolError(f"round {t}: payload client ids do not match the registry")
     total = np.zeros_like(w_global)
+    codebooks = {}
     for uid in sorted(by_uid):
         p = by_uid[uid]
         if p.kind == "none":
             total += p.raw_update
             continue
-        codec = _transmit_codec(build_lattice(p.gen, SUPPORT_RADIUS), p.zeta, client_seeds[uid], t)
+        codec = _transmit_codec(_held_codebook(codebooks, p.gen), p.zeta, client_seeds[uid], t)
         dithers = codec.dither.draw(p.indices.shape[0])
         blocks = decode_blocks(codec, p.indices, dithers)
         h_hat = recombine(blocks, p.pad)
@@ -399,13 +457,10 @@ def run_fl(cfg) -> FlResult:
     elif cfg.quantizer == "static_global":
         # Offline phase: one shared lattice learned from the clients' initial
         # updates, then frozen for the whole run (validate() rejects loss_kind=task).
-        updates = [
-            local_train(
-                arch, w, c.shard_x, c.shard_y, cfg.local_steps, cfg.model_lr,
-                rng.derive_seed(c.seed_root, rng.TAG_OFFLINE),
-            )
-            for c in clients
-        ]
+        updates = _train_group(
+            arch, w, [(c.shard_x, c.shard_y) for c in clients], cfg.local_steps, cfg.model_lr,
+            [rng.derive_seed(c.seed_root, rng.TAG_OFFLINE) for c in clients],
+        )
         net = init_prior_net(
             cfg.lattice_dim, rng.derive_seed(cfg.master_seed, rng.TAG_OFFLINE, 1)
         )

@@ -6,7 +6,6 @@ plain array and lets the codec treat every model identically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,50 +122,81 @@ def _sgd_steps(
     eta: float,
     first_step: int,
 ) -> None:
-    """Single-sample SGD on w in place, one step per row of (x, y) in order.
+    """Single-sample SGD on w in place, one step per row of (x, y) in order:
+    the one-slot view of _sgd_lockstep.  A non-finite loss raises
+    NumericError naming its first step as first_step + s."""
+    bad = _sgd_lockstep(arch, w, x, y, eta)
+    if bad.any():
+        raise NumericError(f"non-finite loss at local step {first_step + int(bad.argmax())}")
 
-    Each step subtracts eta times loss_and_grad(arch, w, x[s:s+1],
-    y[s:s+1])'s gradient, bit for bit: the same (1, k) @ (k, n) forward and
-    dz @ W.T backward products.  A one-row weight gradient is the outer
-    product a_k dz_n and a bias gradient is dz, with no sum; loss_and_grad's
-    matmul and row sum form 0 + each, which differs only in turning -0.0
-    into +0.0, so one `+= 0.0` on the gradient buffer per step does the
-    same.  The layer views of w and of that buffer are made once per call,
-    and x is converted to float64 once.  The first non-finite loss raises
-    NumericError naming its step as first_step + s.
+
+def _sgd_lockstep(
+    arch: ModelArch, w: np.ndarray, x: np.ndarray, y: np.ndarray, eta: float
+) -> np.ndarray:
+    """Single-sample SGD in place on every slot of w, one step per row of
+    (x, y) in order, the slots in lockstep.  w is one flat vector (n,) with
+    x (steps, d) and y (steps,), or one per slot, (U, n) with x
+    (U, steps, d) and y (U, steps).  Returns a boolean array shaped like
+    y: True where that step's loss was non-finite.
+
+    Each slot's step subtracts eta times loss_and_grad(arch, w, x[s:s+1],
+    y[s:s+1])'s gradient, bit for bit: every product is a slot-axis matmul
+    whose slices are the same (1, k) @ (k, n) forward and dz @ W.T backward
+    products, and the softmax's max and sum run along each slot's last
+    axis.  A one-row weight gradient is the outer product a_k dz_n and a
+    bias gradient is dz, with no sum; loss_and_grad's matmul and row sum
+    form 0 + each, which differs only in turning -0.0 into +0.0, so one
+    `+= 0.0` on the gradient buffer per step does the same.  Each layer's
+    dz is formed in place in its bias slot of that buffer, and the step's
+    label entries are reached through one flat index into it.  The layer
+    views and activation buffers are made once per call, and x is
+    converted to float64 once.  The loss is non-finite exactly when the
+    label's probability is NaN, which is when the softmax's sum is NaN;
+    those sums are kept and read once, after the last step, and a slot
+    whose loss went non-finite trains on, in NaN, without touching the
+    others.
     """
+    lead = w.shape[:-1]
     layers = _layers(arch, w)
     grad = np.empty_like(w)
-    grads = _layers(arch, grad)
-    w_out, b_out = layers[-1]
-    x = np.asarray(x, dtype=np.float64)
-    for s, label in enumerate(np.asarray(y, dtype=np.int64).tolist()):
-        a = x[s : s + 1]
-        acts = [a]
-        for wl, bl in layers[:-1]:
-            a = a @ wl
-            a += bl
-            np.maximum(a, 0.0, out=a)
-            acts.append(a)
-        p = a @ w_out
-        p += b_out
-        p -= p.max()
+    grads = [(gw, gb[..., None, :]) for gw, gb in _layers(arch, grad)]
+    biases = [b[..., None, :] for _, b in layers]
+    backs = [wl.mT for wl, _ in layers]
+    hidden = [np.empty(lead + (1, fo)) for fo in arch.widths[1:-1]]
+    hidden_t = [h.mT for h in hidden]
+    y = np.asarray(y, dtype=np.int64)
+    # Flat index into grad of each step's label entry in the last bias slot.
+    labels = y + (arch.n_params - arch.widths[-1])
+    if lead:
+        labels = (labels + arch.n_params * np.arange(lead[0])[:, None]).T.copy()
+    else:
+        labels = labels.tolist()
+    flat = grad.reshape(-1)
+    xs = np.moveaxis(np.asarray(x, dtype=np.float64), -2, 0)[..., None, :]
+    sums = np.empty((len(labels),) + lead + (1, 1))
+    for a, label, total in zip(xs, labels, sums):
+        acts_t = [a.mT] + hidden_t
+        for (wl, _), bl, h in zip(layers, biases, hidden):
+            np.matmul(a, wl, out=h)
+            h += bl
+            np.maximum(h, 0.0, out=h)
+            a = h
+        p = np.matmul(a, layers[-1][0], out=grads[-1][1])
+        p += biases[-1]
+        p -= np.maximum.reduce(p, axis=-1, keepdims=True)
         np.exp(p, out=p)
-        p /= p.sum()
-        if not math.isfinite(math.log(p[0, label] + 1e-300)):
-            raise NumericError(f"non-finite loss at local step {first_step + s}")
-        p[0, label] -= 1.0
-        dz = p
+        p /= np.add.reduce(p, axis=-1, keepdims=True, out=total)
+        flat[label] -= 1.0
         for li in range(len(layers) - 1, -1, -1):
-            gw, gb = grads[li]
-            np.multiply(acts[li].T, dz, out=gw)
-            gb[...] = dz[0]
+            gw, dz = grads[li]
+            np.multiply(acts_t[li], dz, out=gw)
             if li > 0:
-                dz = dz @ layers[li][0].T
-                dz *= acts[li] > 0
+                below = np.matmul(dz, backs[li], out=grads[li - 1][1])
+                below *= hidden[li - 1] > 0
         grad += 0.0
         grad *= eta
         w -= grad
+    return np.isnan(sums.reshape(len(labels), -1).T).reshape(y.shape)
 
 
 def predict(arch: ModelArch, params: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -39,6 +39,20 @@ def test_empty_shard_is_rejected_before_any_training(monkeypatch):
     assert all(s.size > 0 for s in shards[:client])
 
 
+def test_empty_shard_is_rejected_before_any_group_training(monkeypatch):
+    # Rounds and static_global's offline phase train through fl._train_group,
+    # not fl.local_train, so the guard must hold with both patched.
+    cfg = parse_config(overrides=EMPTY_SHARD + ["quantizer=static_global"])
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the partition was checked")
+
+    monkeypatch.setattr(fl, "local_train", no_training)
+    monkeypatch.setattr(fl, "_train_group", no_training)
+    with pytest.raises(ConfigError, match=r"^U: client (\d+) of 40 gets none of the 30 samples$"):
+        fl.run_fl(cfg)
+
+
 def test_cli_rejects_empty_shard_and_writes_nothing(tmp_path):
     out = tmp_path / "out"
     env = dict(os.environ)
