@@ -12,6 +12,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,18 @@ _LOOKUP_CUBES = 4
 _TIE_REL = 1e-9
 # Relative slack on the certificates' bounds for the rounding of G^-1.
 _CERT_SLACK = 1e-9
+# The Babai slack a pruned offset set is derived for: it serves a batch
+# whose proven bound on ||G^-1 r||_inf - 1/2 is at most half of it (see
+# _cube_search).
+_BABAI_SLACK = 1e-6
+# A search on a generator no caller derived offsets for derives them when a
+# slot scores at least this many rows x 5^L offsets, else it scores the
+# whole cube.  Best of 5 x 200 calls, deriving vs the whole cube, at 2^15
+# and 2^16 scores per slot, one BLAS thread on a 2-core VM: one slot, L=2
+# 360 vs 315 and 558 vs 1178 us, L=4 238 vs 120 and 240 vs 612 us; five
+# slots, L=2 808 vs 1062 and 1466 vs 2664 us, L=4 402 vs 418 and 522 vs
+# 1479 us.
+_PRUNE_SCORES = 1 << 16
 # kth_norm's search radius grows by this factor per request.
 _KTH_GROW = 1.25
 # A fresh enumeration covers this multiple of the radius asked for, so the
@@ -121,8 +134,8 @@ class TruncatedLattice:
     """Finite codebook: all lattice points with norm <= gamma.
 
     index_set holds the integer coefficient vectors in lexicographic order;
-    codebook[i] == gen @ index_set[i].  inv and lookup are derived once, on
-    first use.
+    codebook[i] == gen @ index_set[i].  inv, offsets and lookup are derived
+    once, on first use.
     """
 
     gen: np.ndarray
@@ -141,6 +154,12 @@ class TruncatedLattice:
     @functools.cached_property
     def inv(self) -> np.ndarray:
         return np.linalg.inv(self.gen)
+
+    @functools.cached_property
+    def offsets(self) -> _Offsets:
+        """The offsets _lookup's searches of at least _PRUNE_SCORES scores
+        score (see _offsets)."""
+        return _offsets(self.gen, self.inv)
 
     @functools.cached_property
     def lookup(self) -> tuple[int, np.ndarray, np.ndarray]:
@@ -366,6 +385,19 @@ def nearest_point(gen: np.ndarray, x: np.ndarray) -> np.ndarray:
     inputs uniform in [-2, 2]^3 each, it missed the nearest point on 744
     rows of 5 generators (checked by brute force over {-6..6}^3).
     quantize_batch certifies each row before relying on it.
+
+    Only the cube offsets that can win are scored (see _cube_search): an
+    offset k, c = G k, is dropped when Delta_k(rho) = ||c||^2 - 2 rho
+    ||G^T c||_1, less a rounding margin of _CERT_SLACK (||c||^2 + 2 rho
+    sum_i ||row_i(G)||_1 |c_i|), is positive, which proves its score above
+    the zero offset's 0.0 for every residual with ||G^-1 r||_inf <= rho.
+    rho is 1/2 + _BABAI_SLACK, where the slack is proven to cover the
+    rounding of G^-1, of the Babai coordinates and of the residual for
+    inputs up to a max |x| derived from G; larger or non-finite inputs
+    score the whole cube.  The identity, hexagonal and A2 generators keep
+    9 of the 25 offsets, D2 keeps 11.  Certified runs take the runner-up
+    as the smaller of the kept offsets' and the least bound over the
+    dropped ones, so they certify no row the whole cube would not.
     """
     x = np.asarray(x, dtype=np.float64)
     return nearest_point_batch(gen, x[None, :])[0]
@@ -382,35 +414,147 @@ def nearest_point_batch(gen: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return _cube_search(gen, np.linalg.inv(gen), xs)[0]
 
 
+class _Offsets(NamedTuple):
+    """The offsets a nearest-point search scores (see _offsets): with an
+    optional leading slot axis, each slot's offsets k (K, L) in cube order,
+    padded to the longest slot; their displacements G k (K, L) and squared
+    norms (K,), +inf on the padding; the lowest bound on the score of an
+    offset the set dropped (+inf when none); and the largest max |x| of a
+    batch the set serves."""
+
+    cube: np.ndarray
+    cand: np.ndarray
+    sq: np.ndarray
+    floor: np.ndarray
+    x_max: np.ndarray
+
+
+def _whole_cube(gen: np.ndarray) -> _Offsets:
+    """Every offset of the cube, for any batch."""
+    cube = _offset_cube(gen.shape[-1])
+    cand = cube @ gen.mT
+    inf = np.full(gen.shape[:-2], np.inf)
+    return _Offsets(cube, cand, np.einsum("...ij,...ij->...i", cand, cand), inf, inf)
+
+
+def _offsets(gen: np.ndarray, inv: np.ndarray, whole=False) -> _Offsets:
+    """The cube offsets that can be a search's first minimum for a batch
+    with max |x| <= x_max, each slot of gen (L, L) or (U, L, L) with its
+    own set, and the slots marked in whole with the whole cube.
+
+    An offset is dropped when the proven lower bound on its computed score
+    (see _cube_search), at rho = 1/2 + _BABAI_SLACK, is positive.  The rows
+    and squared norms of the kept offsets are those of the whole cube's
+    computation, so each score keeps its bits.  x_max is the largest X
+    with 2 (N X + 1) (eta + 3 g (1 + N M)) <= _BABAI_SLACK / 2, -inf when
+    eta > 1/4."""
+    lone = gen.ndim == 2
+    if lone:
+        gen, inv = gen[None], inv[None]
+    full = _whole_cube(gen)
+    dim = gen.shape[-1]
+    rho = 0.5 + _BABAI_SLACK
+    g = (dim + 2) * 2.0**-53
+    rows = np.abs(gen).sum(axis=-1)  # ||row_i(G)||_1
+    n_inv = np.abs(inv).sum(axis=-1).max(axis=-1)
+    cond = n_inv * rows.max(axis=-1)
+    eta = 2.0 * (np.abs(np.eye(dim) - inv @ gen).sum(axis=-1).max(axis=-1) + g * cond)
+    beta = 2.0 * (eta + 3.0 * g * (1.0 + cond))
+    x_max = np.where(eta <= 0.25, (_BABAI_SLACK / (2.0 * beta) - 1.0) / n_inv, -np.inf)
+    # ||G^T c||_1, and the bound sum_i ||row_i(G)||_1 |c_i| on the rounding of r.c
+    w = np.abs(full.cand @ gen).sum(axis=-1)
+    v = (np.abs(full.cand) @ rows[..., None])[..., 0]
+    low = full.sq - 2.0 * rho * w - _CERT_SLACK * (full.sq + 2.0 * rho * v)
+    whole = np.broadcast_to(whole, x_max.shape)
+    keep = ~(low > 0.0) | whole[:, None]
+    order = np.argsort(~keep, axis=-1, kind="stable")[:, : int(keep.sum(axis=-1).max())]
+    slot = np.arange(gen.shape[0])[:, None]
+    sq = full.sq[slot, order]
+    sq[~keep[slot, order]] = np.inf
+    out = _Offsets(
+        full.cube[order], full.cand[slot, order], sq,
+        np.where(keep, np.inf, low).min(axis=-1), np.where(whole, np.inf, x_max),
+    )
+    return _Offsets(*(a[0] for a in out)) if lone else out
+
+
 def _cube_search(
-    gen: np.ndarray, inv: np.ndarray, xs: np.ndarray, certify: bool = False
+    gen: np.ndarray, inv: np.ndarray, xs: np.ndarray, certify: bool = False,
+    offsets: _Offsets | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Babai point refined over the offset cube; returns the coefficient
     vectors and, with certify, a per-row certificate (else all False).
 
     gen, inv (U, L, L) and xs (U, n, L) may carry a leading slot axis, or
     one gen, inv serve every slot of xs; every op acts on each slot's slice
-    as it would on that slot alone.  The cube's candidates are scored by
-    _first_min.
+    as it would on that slot alone.  offsets are _offsets(gen, inv), which
+    a caller whose generator is fixed derives once; without them a search
+    of at least _PRUNE_SCORES scores per slot derives its own and a smaller
+    one scores the whole cube.  A slot whose max |x| passes its set's
+    x_max, or is not finite, scores the whole cube.  The offsets are
+    scored by _first_min.
 
-    Let r be the Babai residual x - G l0 and d the distance to the answer.
-    Any lattice point l within distance e of x has
+    Pruning.  Let l0 = rint(G^-1 x) be the Babai point, r the computed
+    residual x - G l0 and t = G^-1 r, exactly.  The score of an offset k
+    with displacement c = G k is ||c||^2 - 2 r.c, and r.c = t.(G^T c), so
+    when ||t||_inf <= rho it is at least
+        Delta_k(rho) = ||c||^2 - 2 rho ||G^T c||_1,
+    while the zero offset scores exactly 0.0.  The computed score is within
+    2 g (||c||^2 + 2 rho sum_i ||row_i(G)||_1 |c_i|) of the exact one, g =
+    (L + 2) 2^-53 (a dot of length L, then one subtraction, whose result
+    has the sign of the exact difference of its operands), and computing
+    Delta and that margin rounds by less again; _CERT_SLACK times the
+    margin covers all of it with a factor above 10^4 for any L whose cube
+    fits in memory.  So an offset whose Delta less that slack is positive
+    scores above 0.0 and never wins, nor ties the winner: _offsets drops
+    exactly those, keeps the rest in cube order, and the first minimum
+    over them is the whole cube's.
+
+    Slack of rho.  t would be within 1/2 of the Babai coordinates if G^-1,
+    x @ inv.T and the residual were exact.  With u = 2^-53, X = max |x|,
+    N = ||inv||_inf and M = ||G||_inf (largest row sums of |.|), and eta
+    at least ||I - inv G||_inf (the computed product's, plus g N M, doubled
+    for its own rounding): G^-1 - inv = (I - inv G) G^-1 gives ||G^-1 -
+    inv||_inf <= eta N / (1 - eta) and ||G^-1||_inf <= N / (1 - eta); the
+    computed coordinates y are within g N X of inv x and l0 within 1/2 of
+    y; G l0 is computed within g M (N X (1 + g) + 1/2) and the
+    subtraction from x within u of its result.  For eta <= 1/4 these sum
+    to ||t||_inf <= 1/2 + sigma, sigma <= 2 (N X + 1)(eta + 3 g (1 + N M)).
+    A set derived at rho = 1/2 + _BABAI_SLACK serves a batch with sigma <=
+    _BABAI_SLACK / 2, the factor 2 covering the rounding of sigma itself:
+    that is x_max.  There N X stays far below 2^53, so l0 is exact.
+
+    Certificate.  Let r be the Babai residual x - G l0 and d the distance
+    to the answer.  Any lattice point l within distance e of x has
     ||l - l0||_inf <= mu (e + ||r||), mu = max_i ||row_i(G^-1)||
     (Agrell, Eriksson, Vardy and Zeger, "Closest point search in lattices",
     IEEE T-IT 2002).  A row is certified when mu (e + ||r||) < 3 for
     e^2 = d^2 + tau and the cube's runner-up is farther than e: then every
     lattice point within e lies in the cube, and the answer is the unique
     nearest point with a squared-distance margin tau = _TIE_REL
-    (||x|| + d)^2.
+    (||x|| + d)^2.  The runner-up taken is the smaller of the kept
+    offsets' and the set's floor, the least bound on a dropped offset's
+    score, so it never exceeds the whole cube's: a pruned search certifies
+    only rows the whole cube certifies.
     """
-    cube = _offset_cube(gen.shape[-1])
-    cand = cube @ gen.mT  # (..., K, L) lattice displacements of the cube offsets
-    cand_sq = np.einsum("...ij,...ij->...i", cand, cand)
+    if offsets is None and xs.shape[-2] * 5 ** gen.shape[-1] < _PRUNE_SCORES:
+        offsets = _whole_cube(gen)
+    else:
+        if offsets is None:
+            offsets = _offsets(gen, inv)
+        axes = tuple(range(xs.ndim - 2 if gen.ndim == 3 else 0, xs.ndim))
+        x_abs = np.maximum(xs.max(axis=axes, initial=0.0), -xs.min(axis=axes, initial=0.0))
+        past = ~(x_abs <= offsets.x_max)
+        if past.any():
+            offsets = _whole_cube(gen) if past.all() else _offsets(gen, inv, past)
+    cube = offsets.cube
     l0 = np.rint(xs @ inv.mT).astype(np.int64)
     resid = xs - l0 @ gen.mT
     if not certify:
-        return l0 + cube[_first_min(cand, cand_sq, resid)], np.zeros(xs.shape[:-1], dtype=bool)
-    best, low, second = _first_min(cand, cand_sq, resid, runner_up=True)
+        best = _first_min(offsets.cand, offsets.sq, resid)
+        return l0 + _at(cube, best), np.zeros(xs.shape[:-1], dtype=bool)
+    best, low, second = _first_min(offsets.cand, offsets.sq, resid, runner_up=True)
+    second = np.minimum(second, offsets.floor[..., None])
     # ||r - c||^2 = ||r||^2 + the score ||c||^2 - 2 r.c
     r_sq = np.einsum("...ij,...ij->...i", resid, resid)
     d_sq = np.maximum(low + r_sq, 0.0)
@@ -419,7 +563,12 @@ def _cube_search(
     mu = np.linalg.norm(inv, axis=-1).max(axis=-1)[..., None]
     reach = mu * (np.sqrt(d_sq + tau) + np.sqrt(r_sq))
     cert = (second - low > tau) & (reach < 3.0 * (1.0 - _CERT_SLACK))
-    return l0 + cube[best], cert
+    return l0 + _at(cube, best), cert
+
+
+def _at(cube: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """The offsets best indexes, in one shared (K, L) list or per slot."""
+    return cube[best] if cube.ndim == 2 else np.take_along_axis(cube, best[..., None], axis=-2)
 
 
 def _first_min(cands: np.ndarray, sq: np.ndarray, xs: np.ndarray, runner_up: bool = False):
@@ -539,7 +688,10 @@ def _lookup(lat: TruncatedLattice, xs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # reach cannot land in it; dropping such rows (and non-finite ones)
     # first also keeps them out of the integer cast.
     near = np.flatnonzero(np.all(np.abs(xs @ lat.inv.T) <= bound + 3, axis=1))
-    ls, cert = _cube_search(lat.gen, lat.inv, xs[near], certify=True)
+    # A fresh search's size rule, with the set kept on the codebook: a
+    # learner's codebook serves one small lookup, a check's many large ones.
+    offsets = lat.offsets if near.size * 5**lat.dim >= _PRUNE_SCORES else None
+    ls, cert = _cube_search(lat.gen, lat.inv, xs[near], certify=True, offsets=offsets)
     keys = _box_ids(ls, bound)
     pos = np.minimum(np.searchsorted(ids, keys), ids.size - 1)
     hit = cert & np.all(np.abs(ls) <= bound, axis=1) & (ids[pos] == keys)

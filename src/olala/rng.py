@@ -47,11 +47,15 @@ def stream_unit_block(seed, start: int, count: int) -> np.ndarray:
         root = np.uint64(seed & _MASK)
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = (root + idx * np.uint64(_GOLDEN)).astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-        z = z ^ (z >> np.uint64(31))
+        z = _mix_block((root + idx * np.uint64(_GOLDEN)).astype(np.uint64))
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _mix_block(z: np.ndarray) -> np.ndarray:
+    """mix64 of each entry of a uint64 array, wrapping as mix64 masks."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
+    return z ^ (z >> np.uint64(31))
 
 
 def normal_block(seed_a, seed_b, count: int) -> np.ndarray:
@@ -70,15 +74,23 @@ def stream_permutation(seed: int, count: int) -> np.ndarray:
     return np.argsort(stream_unit_block(seed, 0, count), kind="stable")
 
 
-def derive_seed(root: int, *parts: int) -> int:
+def derive_seed(root, *parts: int):
     """Derive a child seed from a root and a tuple of integer labels.
 
     Order-sensitive; used to give every (client, round, purpose) its own
     independent stream so that no consumer's draws depend on another's.
+    root may be a 1-D sequence of roots: then the result is a uint64 array
+    holding each root's child seed, bit-identical to the scalar call.
     """
-    h = root & _MASK
-    for p in parts:
-        h = mix64(((h ^ mix64(p & _MASK)) + _GOLDEN) & _MASK)
+    if np.ndim(root) != 1:
+        h = root & _MASK
+        for p in parts:
+            h = mix64(((h ^ mix64(p & _MASK)) + _GOLDEN) & _MASK)
+        return h
+    h = np.array([int(r) & _MASK for r in root], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for p in parts:
+            h = _mix_block((h ^ np.uint64(mix64(p & _MASK))) + np.uint64(_GOLDEN))
     return h
 
 

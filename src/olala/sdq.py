@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng
 from .errors import ProtocolError
-from .lattice import TruncatedLattice, _cube_search, check_generator, quantize_batch
+from .lattice import TruncatedLattice, _cube_search, _offsets, check_generator, quantize_batch
 
 _SCALE_FLOOR = 1e-9
 _SCALE_CEIL = 1e9
@@ -79,18 +79,20 @@ def _coords(seed, start: int, count: int, dim: int) -> np.ndarray:
     return u.reshape(*u.shape[:-1], count, dim)
 
 
-def _fold_dithers(u: np.ndarray, gen: np.ndarray, inv: np.ndarray):
+def _fold_dithers(u: np.ndarray, gen: np.ndarray, inv: np.ndarray, offsets=None):
     """Dithers from parallelepiped coordinates u (rows in [0,1)^L), folded
     onto the basic cell, and the integer fold (nearest_point_batch's point)
     subtracted from each; gen is validated and inv is its inverse.  u
     (U, n, L) and gen, inv (U, L, L) may carry a leading slot axis, or one
-    gen, inv fold every slot of u.
+    gen, inv fold every slot of u.  offsets, when given, are
+    lattice._offsets(gen, inv), derived once by a caller whose generator is
+    fixed.
 
     d == (u - fold) @ gen.T, so with the fold held fixed a dither is linear
     in the generator.
     """
     d0 = u @ gen.mT
-    fold = _cube_search(gen, inv, d0)[0]
+    fold = _cube_search(gen, inv, d0, offsets=offsets)[0]
     return d0 - fold @ gen.mT, fold
 
 
@@ -168,12 +170,13 @@ def second_moment(
     Estimates (1/L) E||d||^2 for d uniform over the Voronoi cell of the
     origin; returns (estimate, standard error of the mean).  The dithers are
     dithers_at(seed, gen, 0, n_samples), drawn 2^17 at a time from one
-    validated generator and its inverse.
+    validated generator, its inverse and its offset set.
     """
     if n_samples < _MOMENT_MIN_SAMPLES:
         raise ValueError(f"need at least {_MOMENT_MIN_SAMPLES} samples for a usable estimate")
     gen = check_generator(gen)
     inv = np.linalg.inv(gen)
+    offsets = _offsets(gen, inv)
     dim = gen.shape[0]
     total = 0.0
     total_sq = 0.0
@@ -181,7 +184,7 @@ def second_moment(
     chunk = 1 << 17
     while done < n_samples:
         take = min(chunk, n_samples - done)
-        d = _fold_dithers(_coords(seed, done, take, dim), gen, inv)[0]
+        d = _fold_dithers(_coords(seed, done, take, dim), gen, inv, offsets)[0]
         s = np.einsum("ij,ij->i", d, d) / dim
         total += float(s.sum())
         total_sq += float((s * s).sum())

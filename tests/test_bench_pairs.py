@@ -61,3 +61,18 @@ def test_digests_agree_only_when_every_pair_matches(bench_pairs):
     runs.append(_run(2, "parent", 3.0))
     runs.append(_run(2, "change", 2.0, digest="b"))
     assert not bench_pairs.digests_agree(runs)
+
+
+def test_verdict_line_names_medians_gain_worse_metrics_and_digests(bench_pairs):
+    runs = []
+    for k, (p, c, ok) in enumerate([(3.6, 2.5, 0.5), (3.4, 2.4, 0.5), (3.9, 2.6, 0.5)]):
+        runs += [_run(k, "parent", p), _run(k, "change", c, ok_frac=ok)]
+    line = bench_pairs.verdict_line("checks_suite", bench_pairs.summarize(runs), True)
+    assert line == (
+        "checks_suite: run_rel median 3.600 -> 2.500 over 3 pairs, gain_shown true, "
+        "worse_beyond_bound ok_frac, digests_equal_parent_change true"
+    )
+    runs = [_run(0, "parent", 3.0), _run(0, "change", 3.1, digest="b")]
+    line = bench_pairs.verdict_line("fl_olala_l2", bench_pairs.summarize(runs), False)
+    assert line.endswith("gain_shown false, worse_beyond_bound none, "
+                         "digests_equal_parent_change false")

@@ -48,3 +48,16 @@ def test_streams_do_not_interact():
     _ = rng.stream_unit_block(8, 0, 1000)  # interleave another stream
     b = rng.stream_unit_block(7, 0, 16)
     assert np.array_equal(a, b)
+
+
+def test_derive_seed_over_a_sequence_of_roots_matches_the_scalar_calls():
+    big = 1 << 63
+    roots = [0, 1, 41, big - 1, big, big + 12345, (1 << 64) - 1, -3, np.uint64(big + 7)]
+    for labels in [(), (2,), (41, 7), (big, 3), (big + 99, (1 << 64) - 1, 0), (-1, big - 1)]:
+        vector = rng.derive_seed(roots, *labels)
+        assert vector.dtype == np.uint64 and vector.shape == (len(roots),)
+        assert [int(v) for v in vector] == [rng.derive_seed(int(r), *labels) for r in roots]
+    # a child seed seeds the same stream as the scalar call's
+    seeds = rng.derive_seed(np.array([5, big + 5], dtype=np.uint64), 42, 3)
+    block = rng.stream_unit_block(seeds, 0, 8)
+    assert np.array_equal(block[1], rng.stream_unit_block(rng.derive_seed(big + 5, 42, 3), 0, 8))

@@ -19,8 +19,11 @@ tied, the metric's ``bound`` from BENCHMARK.json, and two verdicts:
 ``worse_beyond_bound`` (the change's median is worse than the parent's by
 more than the bound, relative to the parent's median) and ``gain_shown``
 (the change is better in at least 9 of 10 pairs and its median is better
-than the parent's by more than the parent's interquartile range).  The
-file goes to ``BENCH_<label>.json`` at the root of this checkout.
+than the parent's by more than the parent's interquartile range).  After
+each workload's pairs one verdict line is printed: the run_rel medians,
+gain_shown, the metrics worse beyond their bound and whether every case
+digest agreed.  The file goes to ``BENCH_<label>.json`` at the root of
+this checkout.
 """
 
 from __future__ import annotations
@@ -118,6 +121,20 @@ def digests_agree(runs: list[dict]) -> bool:
     return all(len(d) == 2 and d[0] == d[1] for d in by_seed.values())
 
 
+def verdict_line(workload: str, summary: dict, digests_equal: bool) -> str:
+    """One line on a workload's pairs: the run_rel medians, gain_shown,
+    the metrics worse beyond their bound and whether every digest agreed."""
+    rel = summary["run_rel"]
+    worse = [name for name, m in summary.items() if m["worse_beyond_bound"]]
+    return (
+        f"{workload}: run_rel median {rel['parent']['median']:.3f} -> "
+        f"{rel['change']['median']:.3f} over {rel['pairs']} pairs, "
+        f"gain_shown {str(rel['gain_shown']).lower()}, "
+        f"worse_beyond_bound {', '.join(worse) if worse else 'none'}, "
+        f"digests_equal_parent_change {str(digests_equal).lower()}"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description="Paired bench/run.py runs, parent against change.")
     ap.add_argument("--label", required=True)
@@ -162,11 +179,13 @@ def main(argv: list[str] | None = None) -> int:
                     metrics = run["result"]["metrics"]
                     print(f"{workload} seed {seed} {side}: run_rel "
                           f"{metrics['run_rel']['value']:.3f}", flush=True)
+            summary, equal = summarize(runs), digests_agree(runs)
             doc["workloads"][workload] = {
-                "summary": summarize(runs),
-                "digests_equal_parent_change": digests_agree(runs),
+                "summary": summary,
+                "digests_equal_parent_change": equal,
                 "runs": runs,
             }
+            print(verdict_line(workload, summary, equal), flush=True)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
