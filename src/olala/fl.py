@@ -3,13 +3,15 @@
 Each round: the server broadcasts the model; every client runs local SGD,
 optionally relearns its lattice, scales and SDQ-encodes its update, and
 ships integer indices plus (generator, zeta) metadata.  A round's clients
-run local SGD as one lockstep group (_train_group), and the clients that
-relearn in a round do so as one lockstep group (learning._learn_group).  The
-server rebuilds each client's dither stream from the shared seed and
-decodes.  Everything is a pure function of the experiment config and master
-seed: reductions happen in ascending client id regardless of execution
-order, and a client's lattice does not depend on the group it learned in, so
-results do not depend on scheduling or on the --parallel setting.
+run local SGD as one lockstep group (_train_group), the clients that
+relearn in a round do so as one lockstep group (learning._learn_group), and
+the clients scale and encode as one lockstep codec (_encode_group).  The
+server rebuilds each client's dither stream from the shared seed, a group
+of clients at a time (_transmit_dithers), and decodes.  Everything is a
+pure function of the experiment config and master seed: reductions happen
+in ascending client id regardless of execution order, and a client's
+lattice does not depend on the group it learned in, so results do not
+depend on scheduling or on the --parallel setting.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import csv
 import json
 import math
 import struct
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -34,26 +37,22 @@ from .lattice import (
     GEN_IDENTITY_2D,
     TruncatedLattice,
     build_lattice,
+    quantize_batch,
 )
 from .learning import (
     SUPPORT_RADIUS,
     LearnedLattice,
     LearnerConfig,
     PriorNet,
+    _fit_set,
+    _fit_stacks,
     _learn_group,
-    _pinned_scale,
+    _scale_and_slope,
     init_prior_net,
     normalize_generator,
 )
 from .models import ModelArch, _sgd_lockstep, accuracy, init_params, make_objective
-from .sdq import (
-    DitherStream,
-    SdqCodec,
-    decode_blocks,
-    encode_blocks,
-    recombine,
-    split_vector,
-)
+from .sdq import _coords, _decode, _fold_under, recombine, split_vector
 
 QUANTIZER_KINDS = (
     "none",
@@ -250,11 +249,13 @@ def _learn(nets, w, hs, cfg, seeds, shards=None) -> list[tuple[LearnedLattice, T
     return _learn_group(nets, [w] * len(nets), hs, lcfgs, objectives)
 
 
-def _transmit_codec(lat, zeta: float, seed_root: int, t: int) -> SdqCodec:
-    """Round t's codec of the client rooted at seed_root: the encoder's and
-    the decoder's alike, so both ends read one transmit dither stream."""
-    dither = DitherStream(rng.derive_seed(seed_root, t, rng.TAG_TRANSMIT_DITHER), lat.gen)
-    return SdqCodec(lattice=lat, zeta=zeta, dither=dither)
+def _transmit_dithers(lats: list[TruncatedLattice], roots, t: int, n: int) -> np.ndarray:
+    """Round t's first n transmit dithers (U, n, L) of the clients rooted at
+    roots, each under its codebook lats[k], in one draw and one fold: the
+    encoder's and the decoder's alike, so both ends read one stream per
+    client."""
+    seeds = rng.derive_seed(list(roots), t, rng.TAG_TRANSMIT_DITHER)
+    return _fold_under(_coords(seeds, 0, n, lats[0].dim), lats)[0]
 
 
 def _adapts_this_round(kind: str, t: int, adapt_every: int) -> bool:
@@ -275,8 +276,8 @@ def _round_group(clients: list[ClientState], w_global: np.ndarray, t: int, cfg) 
     """Round t of a group of clients, in three phases: local training of
     every client, as one lockstep group (_train_group); adaptation of every
     client that adapts this round, as one lockstep learner group; scale fit
-    and encoding per client, each distinct held generator's codebook built
-    once.  Reads the clients and writes none of them: run_fl applies each
+    and encoding of every client, as one lockstep codec (_encode_group).
+    Reads the clients and writes none of them: run_fl applies each
     payload's theta and gen.  A client's payload does not depend on the
     group it ran in."""
     hs = _train_group(
@@ -303,8 +304,7 @@ def _round_group(clients: list[ClientState], w_global: np.ndarray, t: int, cfg) 
             [(clients[k].shard_x, clients[k].shard_y) for k in adapting],
         )
         learned = dict(zip(adapting, group))
-    codebooks = {}
-    return [_encode(c, hs[k], t, cfg, learned.get(k), codebooks) for k, c in enumerate(clients)]
+    return _encode_group(clients, hs, t, cfg, learned)
 
 
 def _held_codebook(codebooks: dict, gen: np.ndarray) -> TruncatedLattice:
@@ -317,56 +317,125 @@ def _held_codebook(codebooks: dict, gen: np.ndarray) -> TruncatedLattice:
     return codebooks[key]
 
 
-def _encode(client: ClientState, h: np.ndarray, t: int, cfg, learned, codebooks: dict) -> Payload:
-    """Scale fit and SDQ encoding of one client's update h, under the
-    lattice it learned this round (learned: the LearnedLattice and its
+# Update blocks one stacked codec call holds at most across its clients
+# (1 MB per float array at L=2): the clients of a round, and the payloads
+# of a server group, are coded in chunks of at most this many rows.
+_CODEC_ROWS = 1 << 16
+
+
+def _chunks(ks: list, rows: int) -> list[list]:
+    """ks in consecutive chunks of at most _CODEC_ROWS // rows members (at
+    least one), for members of rows update blocks each."""
+    step = max(1, _CODEC_ROWS // max(rows, 1))
+    return [ks[lo : lo + step] for lo in range(0, len(ks), step)]
+
+
+def _encode_group(clients: list[ClientState], hs: list[np.ndarray], t: int, cfg, learned: dict):
+    """Scale fit and SDQ encoding of each client's update hs[k], under the
+    lattice it learned this round (learned[k]: the LearnedLattice and its
     codebook) or else the one it holds, taken from the round's codebooks
-    (_held_codebook)."""
-    m = h.size
-    if client.quantizer_kind == "none":
-        return Payload(
-            uid=client.uid, t=t, m=m, kind="none", bits=64 * m,
-            raw_update=h, recon=h.copy(), distortion=0.0, snr_db=math.inf,
-        )
-    if learned is not None:
-        out, lat = learned
-        gen, theta = out.gen, out.theta
-    else:
-        gen, theta = client.gen, None if client.net is None else client.net.theta
-        if gen is None:
-            raise ProtocolError(f"client {client.uid} has no generator configured")
-        lat = _held_codebook(codebooks, gen)
+    (_held_codebook), as a lockstep codec (_codec): the clients that hold
+    one codebook run together, and so do all that learned, in chunks of
+    _CODEC_ROWS blocks.  Each client's payload, and its scale-fit warning,
+    is what encoding it alone gives; the warnings come out in client order."""
+    payloads: list = [None] * len(clients)
+    coded, groups, codebooks = {}, {}, {}
+    for k, c in enumerate(clients):
+        if c.quantizer_kind == "none":
+            h = hs[k]
+            payloads[k] = Payload(
+                uid=c.uid, t=t, m=h.size, kind="none", bits=64 * h.size,
+                raw_update=h, recon=h.copy(), distortion=0.0, snr_db=math.inf,
+            )
+            continue
+        if k in learned:
+            out, lat = learned[k]
+            coded[k] = (lat, out.gen, out.theta)
+        else:
+            if c.gen is None:
+                raise ProtocolError(f"client {c.uid} has no generator configured")
+            lat = _held_codebook(codebooks, c.gen)
+            coded[k] = (lat, c.gen, None if c.net is None else c.net.theta)
+        groups.setdefault("learned" if k in learned else id(lat), []).append(k)
+    notes: dict = {}
+    for ks in groups.values():
+        blocks = -(-hs[ks[0]].size // cfg.lattice_dim)  # per client, pad included
+        for part in _chunks(ks, blocks):
+            said: dict = {}
+            zeta, indices, recon, pad = _codec(
+                [hs[k] for k in part], [coded[k][0] for k in part],
+                [clients[k].seed_root for k in part], t, cfg, said,
+            )
+            notes.update((part[j], note) for j, note in said.items())
+            for j, k in enumerate(part):
+                (lat, gen, theta), h = coded[k], hs[k]
+                rec = recombine(recon[j], pad)
+                err = h - rec
+                distortion = float(err @ err)
+                sig = float(h @ h)
+                if distortion == 0:
+                    snr = math.inf
+                else:  # an all-zero update carries no signal: -inf dB
+                    snr = 10.0 * math.log10(sig / distortion) if sig else -math.inf
+                payloads[k] = Payload(
+                    uid=clients[k].uid,
+                    t=t,
+                    m=h.size,
+                    kind=clients[k].quantizer_kind,
+                    bits=bits_accounting(h.size, cfg.rate, cfg.lattice_dim, cfg.include_zeta_bits),
+                    zeta=float(zeta[j]),
+                    pad=pad,
+                    gen=gen,
+                    indices=indices[j],
+                    distortion=distortion,
+                    snr_db=snr,
+                    codebook_size=lat.size,
+                    adapted=k in learned,
+                    theta=None if theta is None else theta.copy(),
+                    recon=rec,
+                )
+    for k in sorted(notes):
+        warnings.warn(notes[k], stacklevel=3)
+    return payloads
 
-    blocks, pad = split_vector(h, cfg.lattice_dim)
-    probe_seed = rng.derive_seed(client.seed_root, t, rng.TAG_PROBE_DITHER)
-    zeta, _ = _pinned_scale(blocks, lat, cfg, probe_seed)  # the learner's own scale fit
 
-    codec = _transmit_codec(lat, zeta, client.seed_root, t)
-    dithers = codec.dither.draw(blocks.shape[0])
-    indices = encode_blocks(codec, zeta * blocks, dithers)
-    recon_blocks = decode_blocks(codec, indices, dithers)
-    recon = recombine(recon_blocks, pad)
-    err = h - recon
-    distortion = float(err @ err)
-    sig = float(h @ h)
-    snr = math.inf if distortion == 0 else 10.0 * math.log10(sig / distortion)
-    return Payload(
-        uid=client.uid,
-        t=t,
-        m=m,
-        kind=client.quantizer_kind,
-        bits=bits_accounting(m, cfg.rate, cfg.lattice_dim, cfg.include_zeta_bits),
-        zeta=zeta,
-        pad=pad,
-        gen=gen,
-        indices=indices,
-        distortion=distortion,
-        snr_db=snr,
-        codebook_size=lat.size,
-        adapted=learned is not None,
-        theta=None if theta is None else theta.copy(),
-        recon=recon,
-    )
+def _codec(hs: list[np.ndarray], lats: list[TruncatedLattice], roots: list[int], t: int, cfg,
+           notes: dict):
+    """The scale fit, encoding and client-side decoding of round t's
+    updates hs (one length) of the clients rooted at roots, each under its
+    codebook lats[k], every client on its own slot: zeta (U,), indices
+    (U, n), the reconstructed blocks (U, n, L) and the pad.
+
+    Each client's probe and transmit coordinates come from one draw each
+    over the clients' seeds; the probe dithers are folded and zeta fit
+    once per size of fit set (_fit_scales), and the transmit dithers
+    folded once (_transmit_dithers).  One codebook quantizes and
+    decodes every slot at once, else each slot runs under its own.  A
+    slot's scale-fit warning goes to notes under its index."""
+    split = [split_vector(h, cfg.lattice_dim) for h in hs]
+    blocks, pad = np.stack([b for b, _ in split]), split[0][1]
+    zeta = _fit_scales(blocks, lats, roots, t, cfg, notes)
+    d = _transmit_dithers(lats, roots, t, blocks.shape[1])
+    xs = zeta[:, None, None] * blocks
+    xs += d
+    if all(lat is lats[0] for lat in lats):
+        indices = quantize_batch(lats[0], xs)
+        return zeta, indices, _decode(lats[0], zeta[:, None, None], indices, d), pad
+    indices = np.stack([quantize_batch(lat, x) for lat, x in zip(lats, xs)])
+    recon = np.stack([_decode(*a) for a in zip(lats, zeta, indices, d)])
+    return zeta, indices, recon, pad
+
+
+def _fit_scales(blocks: np.ndarray, lats: list[TruncatedLattice], roots, t: int, cfg, notes: dict):
+    """Each client's zeta for its blocks (U, n, L) under its codebook
+    lats[k] and its round-t probe stream: one probe draw, then one fold
+    and fit per size of fit set (learning._scale_and_slope).  Apart from
+    _codec, so the probe stacks are freed before the quantization."""
+    fits = [_fit_set(b, cfg) for b in blocks]
+    rows = max(fit.shape[0] for fit, _ in fits)
+    probe = _coords(rng.derive_seed(list(roots), t, rng.TAG_PROBE_DITHER), 0, rows, lats[0].dim)
+    stacks = _fit_stacks([fit for fit, _ in fits], probe)
+    return _scale_and_slope(stacks, lats, fits[0][1], notes)[0]
 
 
 def server_round(
@@ -380,24 +449,43 @@ def server_round(
 
     Requires exactly one payload per registered client (full participation);
     the sum runs in ascending client id so arrival order is irrelevant.
-    Each distinct generator's codebook is built once per call.
+    Each distinct generator's codebook is built once per call.  The
+    transmit dithers of the payloads that share a generator and a length
+    are drawn and folded together (_transmit_dithers), a chunk of at most
+    _CODEC_ROWS blocks at a time, when the first of the chunk comes up;
+    each payload's scale, indices and decoded length are checked before
+    it joins the sum.
     """
     if len(payloads) != n_users:
         raise ProtocolError(f"round {t}: expected {n_users} payloads, got {len(payloads)}")
     by_uid = {p.uid: p for p in payloads}
     if len(by_uid) != n_users or set(by_uid) != set(client_seeds):
         raise ProtocolError(f"round {t}: payload client ids do not match the registry")
+    order = sorted(by_uid)
+    lats, groups, codebooks = {}, {}, {}
+    for uid in order:
+        p = by_uid[uid]
+        if p.kind != "none":
+            lats[uid] = _held_codebook(codebooks, p.gen)
+            groups.setdefault((id(lats[uid]), p.indices.shape[0]), []).append(uid)
+    chunk_of = {
+        uid: part
+        for (_, n), uids in groups.items() for part in _chunks(uids, n) for uid in part
+    }
     total = np.zeros_like(w_global)
-    codebooks = {}
-    for uid in sorted(by_uid):
+    dithers = {}
+    for uid in order:
         p = by_uid[uid]
         if p.kind == "none":
             total += p.raw_update
             continue
-        codec = _transmit_codec(_held_codebook(codebooks, p.gen), p.zeta, client_seeds[uid], t)
-        dithers = codec.dither.draw(p.indices.shape[0])
-        blocks = decode_blocks(codec, p.indices, dithers)
-        h_hat = recombine(blocks, p.pad)
+        if uid not in dithers:
+            part = chunk_of[uid]
+            drawn = _transmit_dithers(
+                [lats[uid]] * len(part), [client_seeds[u] for u in part], t, p.indices.shape[0]
+            )
+            dithers.update(zip(part, drawn))
+        h_hat = recombine(_decode(lats[uid], p.zeta, p.indices, dithers.pop(uid)), p.pad)
         if h_hat.size != p.m:
             raise ProtocolError(f"round {t}: decoded length {h_hat.size} != m={p.m}")
         total += h_hat

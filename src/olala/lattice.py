@@ -157,8 +157,8 @@ class TruncatedLattice:
 
     @functools.cached_property
     def offsets(self) -> _Offsets:
-        """The offsets _lookup's searches of at least _PRUNE_SCORES scores
-        score (see _offsets)."""
+        """The offsets that searches under this codebook's generator of at
+        least _PRUNE_SCORES scores in all score (see _search_offsets)."""
         return _offsets(self.gen, self.inv)
 
     @functools.cached_property
@@ -306,7 +306,7 @@ def _build(
 
 def _box_ids(ls: np.ndarray, bound: int) -> np.ndarray:
     """Flat mixed-radix ids of coefficient vectors inside [-bound, bound]^L."""
-    radix = (2 * bound + 1) ** np.arange(ls.shape[1] - 1, -1, -1, dtype=np.int64)
+    radix = (2 * bound + 1) ** np.arange(ls.shape[-1] - 1, -1, -1, dtype=np.int64)
     return (ls + bound) @ radix
 
 
@@ -624,29 +624,31 @@ def quantize(lat: TruncatedLattice, x: np.ndarray) -> tuple[int, np.ndarray]:
 def quantize_batch(lat: TruncatedLattice, xs: np.ndarray) -> np.ndarray:
     """Vectorized quantize over rows of xs; returns codebook indices.
 
-    Each index equals the plain scan's: the first minimum over the codebook
-    of ||c||^2 - 2 x.c, so ties go to the lowest index.  Codebooks of at
-    most _LOOKUP_CUBES * 5^L codewords are scanned.  Larger ones first find
-    each row's nearest lattice point with _cube_search; a certified point
-    (the unique nearest, with a margin that outweighs rounding) that is a
-    codeword is the answer, and its index is found by binary search in the
-    lattice's sorted box ids.  Only the other rows (overload, uncertified,
-    non-finite) are scanned, by _first_min.
+    xs (U, n, L) may carry a leading slot axis, each slot quantized as it
+    is alone.  Each index equals the plain scan's: the first minimum over
+    the codebook of ||c||^2 - 2 x.c, so ties go to the lowest index.
+    Codebooks of at most _LOOKUP_CUBES * 5^L codewords are scanned.  Larger
+    ones first find each row's nearest lattice point with _cube_search; a
+    certified point (the unique nearest, with a margin that outweighs
+    rounding) that is a codeword is the answer, and its index is found by
+    binary search in the lattice's sorted box ids.  Only the other rows
+    (overload, uncertified, non-finite) are scanned, by _first_min, slot by
+    slot.
     """
     if lat.size == 0:
         raise GeometryError("cannot quantize against an empty codebook")
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != lat.dim:
+    if xs.ndim not in (2, 3) or xs.shape[-1] != lat.dim:
         raise ValueError(f"expected points of dimension {lat.dim}, got {xs.shape}")
     book = lat.codebook
     book_sq = np.einsum("ij,ij->i", book, book)
     if lat.size <= _LOOKUP_CUBES * 5**lat.dim:
         return _first_min(book, book_sq, xs)
-    out = np.full(xs.shape[0], -1, dtype=np.int64)
-    rows, index = _lookup(lat, xs)
-    out[rows] = index
-    miss = np.flatnonzero(out < 0)
-    out[miss] = _first_min(book, book_sq, xs[miss])
+    out = _lookup(lat, xs)
+    for row, x in zip(np.atleast_2d(out), xs if xs.ndim == 3 else xs[None]):
+        miss = np.flatnonzero(row < 0)
+        if miss.size:
+            row[miss] = _first_min(book, book_sq, x[miss])
     return out
 
 
@@ -680,22 +682,36 @@ def _quantize_slots(lats: list[TruncatedLattice], xs: np.ndarray) -> np.ndarray:
     return np.take_along_axis(coef, best[..., None], axis=1)
 
 
-def _lookup(lat: TruncatedLattice, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of xs whose certified nearest lattice point is a codeword, and
-    that codeword's index."""
+def _search_offsets(lat: TruncatedLattice, rows: int) -> _Offsets | None:
+    """lat.offsets for a search of rows rows in all under lat's generator,
+    when they are enough that a fresh search would derive offsets (see
+    _PRUNE_SCORES), else None: a learner's codebook serves one small
+    lookup, a check's many large ones."""
+    return lat.offsets if rows * 5**lat.dim >= _PRUNE_SCORES else None
+
+
+def _lookup(lat: TruncatedLattice, xs: np.ndarray) -> np.ndarray:
+    """The codebook index of each row of xs (n, L), or of each slot's rows
+    (U, n, L), whose certified nearest lattice point is a codeword; -1 for
+    every other row."""
     bound, ids, index = lat.lookup
     # A row whose Babai coordinates leave the box by more than the cube's
-    # reach cannot land in it; dropping such rows (and non-finite ones)
-    # first also keeps them out of the integer cast.
-    near = np.flatnonzero(np.all(np.abs(xs @ lat.inv.T) <= bound + 3, axis=1))
-    # A fresh search's size rule, with the set kept on the codebook: a
-    # learner's codebook serves one small lookup, a check's many large ones.
-    offsets = lat.offsets if near.size * 5**lat.dim >= _PRUNE_SCORES else None
-    ls, cert = _cube_search(lat.gen, lat.inv, xs[near], certify=True, offsets=offsets)
+    # reach cannot land in it; such rows (and non-finite ones) are left out
+    # of the search, or zeroed in a slot stack, which keeps every row in its
+    # place, so none reaches the integer cast.
+    near = np.all(np.abs(xs @ lat.inv.mT) <= bound + 3, axis=-1)
+    search = xs[near] if xs.ndim == 2 else np.where(near[..., None], xs, 0.0)
+    offsets = _search_offsets(lat, search.size // lat.dim)
+    ls, cert = _cube_search(lat.gen, lat.inv, search, certify=True, offsets=offsets)
     keys = _box_ids(ls, bound)
     pos = np.minimum(np.searchsorted(ids, keys), ids.size - 1)
-    hit = cert & np.all(np.abs(ls) <= bound, axis=1) & (ids[pos] == keys)
-    return near[hit], index[pos[hit]]
+    hit = cert & np.all(np.abs(ls) <= bound, axis=-1) & (ids[pos] == keys)
+    found = np.where(hit, index[pos], -1)
+    if xs.ndim == 2:
+        out = np.full(xs.shape[0], -1, dtype=np.int64)
+        out[near] = found
+        return out
+    return np.where(near, found, -1)
 
 
 def rate_of(lat: TruncatedLattice) -> float:

@@ -52,6 +52,7 @@ from .sdq import (
     _coords,
     _fit_scale_pinned,
     _fold_dithers,
+    _fold_under,
     fit_scale,
     recombine,
     split_vector,
@@ -463,13 +464,7 @@ class _Slots:
             _coords(derive_seed(seed, _TAG_MEASURE_PROBE), 0, f.shape[0], dim)
             for seed, f in zip(self.seeds, self.fit)
         ]
-        by_size: dict[int, list[int]] = {}
-        for k, fit in enumerate(self.fit):
-            by_size.setdefault(fit.shape[0], []).append(k)
-        self.fit_stacks = [
-            (ks, np.stack([self.fit[k] for k in ks]), np.stack([probes[k] for k in ks]))
-            for ks in by_size.values()
-        ]
+        self.fit_stacks = _fit_stacks(self.fit, probes)
         self.memos = [[lattice._memo] for _ in self.seeds]
 
     def take(self, sel: list[int]) -> "_Slots":
@@ -516,16 +511,35 @@ def _stacked(lats: list[TruncatedLattice]) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([lat.gen for lat in lats]), np.stack([lat.inv for lat in lats])
 
 
-def _scale_and_slope(fit_stacks: list, lats: list[TruncatedLattice], target: float):
+def _fit_stacks(fits: list[np.ndarray], probes) -> list:
+    """The stacks a scale fit runs on (see _scale_and_slope): per size n of
+    fit set, the slots ks whose fit sets fits[k] have it, those fit sets
+    and the first n rows of the slots' probe coordinates probes[k]."""
+    by_size: dict[int, list[int]] = {}
+    for k, fit in enumerate(fits):
+        by_size.setdefault(fit.shape[0], []).append(k)
+    return [
+        (ks, np.stack([fits[k] for k in ks]), np.stack([probes[k][:n] for k in ks]))
+        for n, ks in by_size.items()
+    ]
+
+
+def _scale_and_slope(
+    fit_stacks: list, lats: list[TruncatedLattice], target: float, notes: dict | None = None
+):
     """Each slot's zeta and d zeta / d gen (see _pinned_scale), one stack
     (ks, fits (k, n, L), probes (k, n, L)) of fit_stacks at a time: the
-    slots ks, their fit sets and their probe coordinates."""
+    slots ks, their fit sets and their probe coordinates, folded under
+    the slots' codebooks lats (sdq._fold_under).  With notes, each slot's
+    scale-fit warning is stored there under its slot instead of issued."""
     zeta = np.empty(len(lats))
     dzeta = np.zeros((len(lats), *lats[0].gen.shape))
     for ks, fit, u in fit_stacks:
-        gen, inv = _stacked([lats[k] for k in ks])
-        d, fold = _fold_dithers(u, gen, inv)
-        z, p = _fit_scale_pinned(fit, lats[0].gamma, d, target)
+        d, fold = _fold_under(u, [lats[k] for k in ks])
+        said = None if notes is None else {}
+        z, p = _fit_scale_pinned(fit, lats[0].gamma, d, target, said)
+        if said:
+            notes.update((ks[i], note) for i, note in said.items())
         zeta[ks] = z
         pinned = np.flatnonzero(p >= 0)
         if pinned.size:

@@ -17,7 +17,14 @@ import numpy as np
 
 from . import rng
 from .errors import ProtocolError
-from .lattice import TruncatedLattice, _cube_search, _offsets, check_generator, quantize_batch
+from .lattice import (
+    TruncatedLattice,
+    _cube_search,
+    _offsets,
+    _search_offsets,
+    check_generator,
+    quantize_batch,
+)
 
 _SCALE_FLOOR = 1e-9
 _SCALE_CEIL = 1e9
@@ -96,6 +103,18 @@ def _fold_dithers(u: np.ndarray, gen: np.ndarray, inv: np.ndarray, offsets=None)
     return d0 - fold @ gen.mT, fold
 
 
+def _fold_under(u: np.ndarray, lats: list[TruncatedLattice]):
+    """_fold_dithers of each slot's coordinates u (U, n, L) under its
+    codebook lats[k]: where every slot holds one codebook, its generator
+    broadcast, with its offsets once the fold is large enough to use them
+    (lattice._search_offsets); else the slots' generators stacked."""
+    lat = lats[0]
+    if all(other is lat for other in lats):
+        return _fold_dithers(u, lat.gen, lat.inv, _search_offsets(lat, u.size // lat.dim))
+    gen = np.stack([other.gen for other in lats])
+    return _fold_dithers(u, gen, np.stack([other.inv for other in lats]))
+
+
 def split_vector(x: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
     """Zero-pad x to a multiple of dim and cut into (M, dim) blocks.
 
@@ -153,13 +172,22 @@ def encode_blocks(codec: SdqCodec, blocks: np.ndarray, dithers: np.ndarray) -> n
 
 def decode_blocks(codec: SdqCodec, indices: np.ndarray, dithers: np.ndarray) -> np.ndarray:
     """Reconstruct each block as (codeword - dither) / zeta; both sides of
-    the wire run this same routine."""
+    the wire run this same routine (_decode)."""
+    return _decode(codec.lattice, codec.zeta, indices, dithers)
+
+
+def _decode(lat: TruncatedLattice, zeta, indices: np.ndarray, dithers: np.ndarray) -> np.ndarray:
+    """(codeword - dither) / zeta of each index under the codebook lat, once
+    the scale and every index are checked: indices (n,) and dithers (n, L)
+    under one scale, or a slot stack (U, n) and (U, n, L) with zeta (U, 1, 1)."""
+    if not np.all(zeta > 0):
+        raise ValueError(f"input scale must be positive, got {zeta}")
     indices = np.asarray(indices)
-    size = codec.lattice.size
+    size = lat.size
     if indices.size and (indices.min() < 0 or indices.max() >= size):
         bad = indices[(indices < 0) | (indices >= size)][0]
         raise ProtocolError(f"codebook index {bad} out of range [0, {size})")
-    return (codec.lattice.codebook[indices] - dithers) / codec.zeta
+    return (lat.codebook[indices] - dithers) / zeta
 
 
 def second_moment(
@@ -221,22 +249,25 @@ def fit_scale(
 
 
 def _fit_scale_pinned(
-    blocks: np.ndarray, gamma: float, d: np.ndarray, target_overload: float
+    blocks: np.ndarray, gamma: float, d: np.ndarray, target_overload: float,
+    notes: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """fit_scale of each slot's blocks (U, n, L) under its probe dithers d
     (U, n, L), and the index of the block whose overload root the scale is
     (-1 when no block pins it: all-zero blocks, the floor, the ceiling).
-    Each slot is fit as alone; the ragged step-down runs slot by slot."""
+    Each slot is fit as alone; the ragged step-down runs slot by slot.  A
+    slot's warning (all-zero blocks, or no feasible scale) is issued in
+    slot order, or, with notes, stored there under the slot's index for
+    the caller to issue."""
     if not (0 <= target_overload < 1):
         raise ValueError(f"target_overload must be in [0, 1), got {target_overload}")
     slots, n = blocks.shape[:2]
     zeta = np.ones(slots)
     pins = np.full(slots, -1)
     nonzero = np.any(blocks, axis=(1, 2))
-    for _ in range(slots - int(np.count_nonzero(nonzero))):
-        warnings.warn("all-zero subvectors: scale fit defaulting to 1.0", stacklevel=3)
-    if not nonzero.any():
-        return zeta, pins
+    said = dict.fromkeys(
+        np.flatnonzero(~nonzero).tolist(), "all-zero subvectors: scale fit defaulting to 1.0"
+    )
     gamma_sq = gamma * gamma
     xx = np.einsum("uij,uij->ui", blocks, blocks)
     xd = np.einsum("uij,uij->ui", blocks, d)
@@ -277,12 +308,16 @@ def _fit_scale_pinned(
         z = float(zeta[s])
         while overloads(s, z) > allowed:
             if z <= _SCALE_FLOOR:
-                warnings.warn(
-                    "no feasible scale meets the overload target; returning bracket floor",
-                    stacklevel=3,
+                said[int(s)] = (
+                    "no feasible scale meets the overload target; returning bracket floor"
                 )
                 z, pins[s] = _SCALE_FLOOR, -1
                 break
             z = math.nextafter(z, 0.0)
         zeta[s] = z
+    if notes is None:
+        for s in sorted(said):
+            warnings.warn(said[s], stacklevel=3)
+    else:
+        notes.update(said)
     return zeta, pins
