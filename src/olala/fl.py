@@ -307,14 +307,33 @@ def _round_group(clients: list[ClientState], w_global: np.ndarray, t: int, cfg) 
     return _encode_group(clients, hs, t, cfg, learned)
 
 
-def _held_codebook(codebooks: dict, gen: np.ndarray) -> TruncatedLattice:
-    """build_lattice(gen, SUPPORT_RADIUS), built once per distinct generator:
-    codebooks maps each generator's shape and bytes to its codebook."""
+# The process's codebook store: each generator's shape and bytes -> its
+# codebook and the last round that coded or decoded under it (see
+# _held_codebook).  run_fl starts each run with it empty.
+_codebooks: dict[tuple, tuple[TruncatedLattice, int]] = {}
+
+
+def _held_codebook(gen: np.ndarray, t: int, lat: TruncatedLattice | None = None):
+    """build_lattice(gen, SUPPORT_RADIUS) from the store, for coding in
+    round t: the stored codebook of gen, else lat (the codebook a learner
+    measured gen under, which is build_lattice's bit for bit), else a
+    fresh build, which the store then keeps with its cached inv, offsets
+    and lookup.  So a held generator is built once per run and process,
+    and a learned one not at all on the side that learned it."""
     gen = np.asarray(gen, dtype=np.float64)
     key = (gen.shape, gen.tobytes())
-    if key not in codebooks:
-        codebooks[key] = build_lattice(gen, SUPPORT_RADIUS)
-    return codebooks[key]
+    book = _codebooks[key][0] if key in _codebooks else lat
+    if book is None:
+        book = build_lattice(gen, SUPPORT_RADIUS)
+    _codebooks[key] = (book, t)
+    return book
+
+
+def _keep_round(t: int) -> None:
+    """Drop from the store every codebook that round t did not code or
+    decode under, so it holds at most one round's generators."""
+    for key in [key for key, (_, used) in _codebooks.items() if used != t]:
+        del _codebooks[key]
 
 
 # Update blocks one stacked codec call holds at most across its clients
@@ -332,14 +351,16 @@ def _chunks(ks: list, rows: int) -> list[list]:
 
 def _encode_group(clients: list[ClientState], hs: list[np.ndarray], t: int, cfg, learned: dict):
     """Scale fit and SDQ encoding of each client's update hs[k], under the
-    lattice it learned this round (learned[k]: the LearnedLattice and its
-    codebook) or else the one it holds, taken from the round's codebooks
-    (_held_codebook), as a lockstep codec (_codec): the clients that hold
-    one codebook run together, and so do all that learned, in chunks of
-    _CODEC_ROWS blocks.  Each client's payload, and its scale-fit warning,
-    is what encoding it alone gives; the warnings come out in client order."""
+    lattice it learned this round (learned[k]: the LearnedLattice and the
+    codebook it was measured under, which enters the store) or else the
+    one it holds, both taken from the codebook store (_held_codebook), as
+    a lockstep codec (_codec): the clients that hold one codebook run
+    together, and so do all that learned, in chunks of _CODEC_ROWS blocks.
+    The store then keeps only the codebooks coded under in round t.  Each
+    client's payload, and its scale-fit warning, is what encoding it alone
+    gives; the warnings come out in client order."""
     payloads: list = [None] * len(clients)
-    coded, groups, codebooks = {}, {}, {}
+    coded, groups = {}, {}
     for k, c in enumerate(clients):
         if c.quantizer_kind == "none":
             h = hs[k]
@@ -350,11 +371,11 @@ def _encode_group(clients: list[ClientState], hs: list[np.ndarray], t: int, cfg,
             continue
         if k in learned:
             out, lat = learned[k]
-            coded[k] = (lat, out.gen, out.theta)
+            coded[k] = (_held_codebook(out.gen, t, lat), out.gen, out.theta)
         else:
             if c.gen is None:
                 raise ProtocolError(f"client {c.uid} has no generator configured")
-            lat = _held_codebook(codebooks, c.gen)
+            lat = _held_codebook(c.gen, t)
             coded[k] = (lat, c.gen, None if c.net is None else c.net.theta)
         groups.setdefault("learned" if k in learned else id(lat), []).append(k)
     notes: dict = {}
@@ -394,6 +415,7 @@ def _encode_group(clients: list[ClientState], hs: list[np.ndarray], t: int, cfg,
                     theta=None if theta is None else theta.copy(),
                     recon=rec,
                 )
+    _keep_round(t)
     for k in sorted(notes):
         warnings.warn(notes[k], stacklevel=3)
     return payloads
@@ -449,7 +471,10 @@ def server_round(
 
     Requires exactly one payload per registered client (full participation);
     the sum runs in ascending client id so arrival order is irrelevant.
-    Each distinct generator's codebook is built once per call.  The
+    Each payload decodes under its generator's codebook from the store
+    (_held_codebook): the one its client coded under when the client ran
+    in this process, else one built here once per run; the store then
+    keeps only the codebooks decoded under in round t.  The
     transmit dithers of the payloads that share a generator and a length
     are drawn and folded together (_transmit_dithers), a chunk of at most
     _CODEC_ROWS blocks at a time, when the first of the chunk comes up;
@@ -462,11 +487,11 @@ def server_round(
     if len(by_uid) != n_users or set(by_uid) != set(client_seeds):
         raise ProtocolError(f"round {t}: payload client ids do not match the registry")
     order = sorted(by_uid)
-    lats, groups, codebooks = {}, {}, {}
+    lats, groups = {}, {}
     for uid in order:
         p = by_uid[uid]
         if p.kind != "none":
-            lats[uid] = _held_codebook(codebooks, p.gen)
+            lats[uid] = _held_codebook(p.gen, t)
             groups.setdefault((id(lats[uid]), p.indices.shape[0]), []).append(uid)
     chunk_of = {
         uid: part
@@ -489,6 +514,7 @@ def server_round(
         if h_hat.size != p.m:
             raise ProtocolError(f"round {t}: decoded length {h_hat.size} != m={p.m}")
         total += h_hat
+    _keep_round(t)
     return w_global + total / n_users
 
 
@@ -512,6 +538,7 @@ def _build_dataset(cfg) -> tuple[Dataset, Dataset]:
 def run_fl(cfg) -> FlResult:
     """Execute the full experiment described by cfg; see config.py for knobs."""
     cfg.validate()
+    _codebooks.clear()
     train, test = _build_dataset(cfg)
     if test.features.shape[1] != train.features.shape[1]:
         raise ValueError(

@@ -197,10 +197,13 @@ def _points_within(
     same bits.  One entry serves a generator and its rescaled copies, so a
     learner step's normalization search and codebook come from it while
     the generator moves little.  Otherwise the box is enumerated at
-    _MEMO_WIDEN times the radius (at the radius itself when the wider box
-    exceeds enum_cap), stored, and filtered back to the radius.  Results
-    never depend on the memo's state.  Inside memo_slot the entry read and
-    written is the slot's, else the process's _memo.
+    _MEMO_WIDEN times the radius, or at the widest radius whose box fits
+    enum_cap when that box would not (see _widest_radius), stored, and
+    filtered back to the radius.  Results never depend on the memo's
+    state.  Inside memo_slot the entry read and written is the slot's,
+    else the process's _memo.  Rows are kept by index gathers, which copy
+    the same rows in the same order several times faster than a boolean
+    mask does on 2-D rows.
     """
     global _memo
     dim = gen.shape[0]
@@ -220,15 +223,31 @@ def _points_within(
     else:
         wide = radius * _MEMO_WIDEN
         if _box_size(reach, wide, dim) > enum_cap:
-            wide = radius
+            wide = _widest_radius(reach, dim, enum_cap, radius)
         ls, sq = _enumerate(gen, int(math.ceil(wide * reach)), wide)
         entry = (gen.copy(), wide, ls, sq)
         if holder is None:
             _memo = entry
         else:
             holder[0] = entry
-    ok = sq <= radius * radius
-    return ls[ok], sq[ok]
+    at = np.flatnonzero(sq <= radius * radius)
+    return ls.take(at, axis=0), sq.take(at)
+
+
+def _widest_radius(reach: float, dim: int, enum_cap: int, radius: float) -> float:
+    """The widest radius, at least radius, whose _points_within box fits
+    enum_cap: b / reach for the largest b with (2b + 1)^L <= enum_cap,
+    stepped down until the box it rounds to is [-b, b]^L.  The caller has
+    checked that radius's box fits."""
+    bound = (int(round(enum_cap ** (1.0 / dim))) - 1) // 2
+    while (2 * bound + 3) ** dim <= enum_cap:
+        bound += 1
+    while (2 * bound + 1) ** dim > enum_cap:
+        bound -= 1
+    wide = bound / reach
+    while math.ceil(wide * reach) > bound:
+        wide = math.nextafter(wide, 0.0)
+    return max(wide, radius)
 
 
 def _box_size(reach: float, radius: float, dim: int) -> int:
@@ -264,9 +283,9 @@ def _enumerate(gen: np.ndarray, bound: int, radius: float) -> tuple[np.ndarray, 
         ls = _lex_block(np.arange(start, min(start + _ENUM_CHUNK, total)), side, dim, bound)
         pts = ls @ gen_t
         sq = np.einsum("ij,ij->i", pts, pts)
-        ok = sq <= radius * radius
-        kept_ls.append(ls[ok])
-        kept_sq.append(sq[ok])
+        at = np.flatnonzero(sq <= radius * radius)
+        kept_ls.append(ls.take(at, axis=0))
+        kept_sq.append(sq.take(at))
     return np.concatenate(kept_ls), np.concatenate(kept_sq)
 
 
@@ -292,16 +311,20 @@ def _build(
     ||gen @ l|| <= outer, and their squared norms computed row by row as
     _points_within computes them (ls @ gen.T).  Filtered to outer, they are
     _points_within's answer, bit for bit.
+
+    The codebook's index_set, codebook and inv are read-only: one codebook
+    serves the learner that measured it, the encoder and the decoder.
     """
     inv = np.linalg.inv(gen)
     ls, sq = _points_within(gen, inv, outer, enum_cap) if rows is None else rows
     inside = sq <= gamma * gamma
-    index_set = ls[inside]
-    lat = TruncatedLattice(
-        gen=gen, gamma=float(gamma), index_set=index_set, codebook=index_set @ gen.T
-    )
+    index_set = np.compress(inside, ls, axis=0)
+    codebook = index_set @ gen.T
+    for a in (index_set, codebook, inv):
+        a.flags.writeable = False
+    lat = TruncatedLattice(gen=gen, gamma=float(gamma), index_set=index_set, codebook=codebook)
     object.__setattr__(lat, "inv", inv)  # derived once, as lat.inv would be
-    return lat, ls[~inside & (sq <= outer * outer)]
+    return lat, np.compress(~inside & (sq <= outer * outer), ls, axis=0)
 
 
 def _box_ids(ls: np.ndarray, bound: int) -> np.ndarray:
@@ -700,7 +723,7 @@ def _lookup(lat: TruncatedLattice, xs: np.ndarray) -> np.ndarray:
     # of the search, or zeroed in a slot stack, which keeps every row in its
     # place, so none reaches the integer cast.
     near = np.all(np.abs(xs @ lat.inv.mT) <= bound + 3, axis=-1)
-    search = xs[near] if xs.ndim == 2 else np.where(near[..., None], xs, 0.0)
+    search = np.compress(near, xs, axis=0) if xs.ndim == 2 else np.where(near[..., None], xs, 0.0)
     offsets = _search_offsets(lat, search.size // lat.dim)
     ls, cert = _cube_search(lat.gen, lat.inv, search, certify=True, offsets=offsets)
     keys = _box_ids(ls, bound)

@@ -644,7 +644,7 @@ def _lattice_and_shell(gen: np.ndarray, gamma: float) -> tuple[TruncatedLattice,
     )
     lat, band = _build(gen, gamma, gamma * (1.0 + _PIN_TOL), rows=left[2:] if same else None)
     lead = band[np.arange(band.shape[0]), np.argmax(band != 0, axis=1)]
-    return lat, band[lead > 0]
+    return lat, np.compress(lead > 0, band, axis=0)
 
 
 def _budget_shell(gen: np.ndarray, gamma: float) -> np.ndarray:

@@ -331,8 +331,9 @@ def test_one_fold_per_stream_and_one_offset_set_per_codebook(monkeypatch):
     rounds = cfg.rounds
     assert counts[("client", "fold")] == 2 * rounds  # one probe, one transmit fold
     assert counts[("server", "fold")] == rounds
-    assert counts[("client", "codebook")] == counts[("server", "codebook")] == rounds
-    assert counts[("client", "offsets")] == counts[("server", "offsets")] == rounds
+    # One codebook, with its offset set, serves every round at both ends.
+    assert counts[("client", "codebook")] == counts[("client", "offsets")] == 1
+    assert ("server", "codebook") not in counts and ("server", "offsets") not in counts
 
 
 def test_a_stacked_codec_call_holds_at_most_the_row_bound():
