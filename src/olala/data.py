@@ -46,7 +46,10 @@ def read_idx(path: str) -> np.ndarray:
     dtype_code, ndim = blob[2], blob[3]
     if dtype_code not in _IDX_DTYPES:
         raise ValueError(f"{path}: unsupported IDX dtype 0x{dtype_code:02x}")
-    dims = struct.unpack_from(f">{ndim}I", blob, 4)
+    try:
+        dims = struct.unpack_from(f">{ndim}I", blob, 4)
+    except struct.error:
+        raise ValueError(f"{path}: IDX header cut short") from None
     data = np.frombuffer(blob, dtype=_IDX_DTYPES[dtype_code], offset=4 + 4 * ndim)
     expect = int(np.prod(dims))
     if data.size != expect:

@@ -45,7 +45,6 @@ from .learning import (
     LearnerConfig,
     PriorNet,
     _fit_set,
-    _fit_stacks,
     _learn_group,
     _scale_and_slope,
     init_prior_net,
@@ -337,16 +336,23 @@ def _keep_round(t: int) -> None:
 
 
 # Update blocks one stacked codec call holds at most across its clients
-# (1 MB per float array at L=2): the clients of a round, and the payloads
-# of a server group, are coded in chunks of at most this many rows.
+# (1 MB per float array at L=2): see _parts.
 _CODEC_ROWS = 1 << 16
 
 
-def _chunks(ks: list, rows: int) -> list[list]:
-    """ks in consecutive chunks of at most _CODEC_ROWS // rows members (at
-    least one), for members of rows update blocks each."""
-    step = max(1, _CODEC_ROWS // max(rows, 1))
-    return [ks[lo : lo + step] for lo in range(0, len(ks), step)]
+def _parts(blocks: dict) -> list[list]:
+    """The parts both ends of the wire code in: the members of blocks
+    (member -> its update's block count) that share a block count, in
+    order, cut into consecutive parts of at most _CODEC_ROWS blocks (at
+    least one member each), whatever their codebooks."""
+    groups: dict[int, list] = {}
+    for member, n in blocks.items():
+        groups.setdefault(n, []).append(member)
+    parts = []
+    for n, ms in groups.items():
+        step = max(1, _CODEC_ROWS // max(n, 1))
+        parts += [ms[lo : lo + step] for lo in range(0, len(ms), step)]
+    return parts
 
 
 def _encode_group(clients: list[ClientState], hs: list[np.ndarray], t: int, cfg, learned: dict):
@@ -354,13 +360,12 @@ def _encode_group(clients: list[ClientState], hs: list[np.ndarray], t: int, cfg,
     lattice it learned this round (learned[k]: the LearnedLattice and the
     codebook it was measured under, which enters the store) or else the
     one it holds, both taken from the codebook store (_held_codebook), as
-    a lockstep codec (_codec): the clients that hold one codebook run
-    together, and so do all that learned, in chunks of _CODEC_ROWS blocks.
-    The store then keeps only the codebooks coded under in round t.  Each
-    client's payload, and its scale-fit warning, is what encoding it alone
-    gives; the warnings come out in client order."""
+    a lockstep codec (_codec) over each part of the coded clients
+    (_parts).  The store then keeps only the codebooks coded under in
+    round t.  Each client's payload, and its scale-fit warning, is what
+    encoding it alone gives; the warnings come out in client order."""
     payloads: list = [None] * len(clients)
-    coded, groups = {}, {}
+    coded = {}
     for k, c in enumerate(clients):
         if c.quantizer_kind == "none":
             h = hs[k]
@@ -377,44 +382,41 @@ def _encode_group(clients: list[ClientState], hs: list[np.ndarray], t: int, cfg,
                 raise ProtocolError(f"client {c.uid} has no generator configured")
             lat = _held_codebook(c.gen, t)
             coded[k] = (lat, c.gen, None if c.net is None else c.net.theta)
-        groups.setdefault("learned" if k in learned else id(lat), []).append(k)
     notes: dict = {}
-    for ks in groups.values():
-        blocks = -(-hs[ks[0]].size // cfg.lattice_dim)  # per client, pad included
-        for part in _chunks(ks, blocks):
-            said: dict = {}
-            zeta, indices, recon, pad = _codec(
-                [hs[k] for k in part], [coded[k][0] for k in part],
-                [clients[k].seed_root for k in part], t, cfg, said,
+    for part in _parts({k: -(-hs[k].size // cfg.lattice_dim) for k in coded}):
+        said: dict = {}
+        zeta, indices, recon, pad = _codec(
+            [hs[k] for k in part], [coded[k][0] for k in part],
+            [clients[k].seed_root for k in part], t, cfg, said,
+        )
+        notes.update((part[j], note) for j, note in said.items())
+        for j, k in enumerate(part):
+            (lat, gen, theta), h = coded[k], hs[k]
+            rec = recombine(recon[j], pad)
+            err = h - rec
+            distortion = float(err @ err)
+            sig = float(h @ h)
+            if distortion == 0:
+                snr = math.inf
+            else:  # an all-zero update carries no signal: -inf dB
+                snr = 10.0 * math.log10(sig / distortion) if sig else -math.inf
+            payloads[k] = Payload(
+                uid=clients[k].uid,
+                t=t,
+                m=h.size,
+                kind=clients[k].quantizer_kind,
+                bits=bits_accounting(h.size, cfg.rate, cfg.lattice_dim, cfg.include_zeta_bits),
+                zeta=float(zeta[j]),
+                pad=pad,
+                gen=gen,
+                indices=indices[j],
+                distortion=distortion,
+                snr_db=snr,
+                codebook_size=lat.size,
+                adapted=k in learned,
+                theta=None if theta is None else theta.copy(),
+                recon=rec,
             )
-            notes.update((part[j], note) for j, note in said.items())
-            for j, k in enumerate(part):
-                (lat, gen, theta), h = coded[k], hs[k]
-                rec = recombine(recon[j], pad)
-                err = h - rec
-                distortion = float(err @ err)
-                sig = float(h @ h)
-                if distortion == 0:
-                    snr = math.inf
-                else:  # an all-zero update carries no signal: -inf dB
-                    snr = 10.0 * math.log10(sig / distortion) if sig else -math.inf
-                payloads[k] = Payload(
-                    uid=clients[k].uid,
-                    t=t,
-                    m=h.size,
-                    kind=clients[k].quantizer_kind,
-                    bits=bits_accounting(h.size, cfg.rate, cfg.lattice_dim, cfg.include_zeta_bits),
-                    zeta=float(zeta[j]),
-                    pad=pad,
-                    gen=gen,
-                    indices=indices[j],
-                    distortion=distortion,
-                    snr_db=snr,
-                    codebook_size=lat.size,
-                    adapted=k in learned,
-                    theta=None if theta is None else theta.copy(),
-                    recon=rec,
-                )
     _keep_round(t)
     for k in sorted(notes):
         warnings.warn(notes[k], stacklevel=3)
@@ -456,8 +458,7 @@ def _fit_scales(blocks: np.ndarray, lats: list[TruncatedLattice], roots, t: int,
     fits = [_fit_set(b, cfg) for b in blocks]
     rows = max(fit.shape[0] for fit, _ in fits)
     probe = _coords(rng.derive_seed(list(roots), t, rng.TAG_PROBE_DITHER), 0, rows, lats[0].dim)
-    stacks = _fit_stacks([fit for fit, _ in fits], probe)
-    return _scale_and_slope(stacks, lats, fits[0][1], notes)[0]
+    return _scale_and_slope([fit for fit, _ in fits], probe, lats, fits[0][1], notes)[0]
 
 
 def server_round(
@@ -474,12 +475,11 @@ def server_round(
     Each payload decodes under its generator's codebook from the store
     (_held_codebook): the one its client coded under when the client ran
     in this process, else one built here once per run; the store then
-    keeps only the codebooks decoded under in round t.  The
-    transmit dithers of the payloads that share a generator and a length
-    are drawn and folded together (_transmit_dithers), a chunk of at most
-    _CODEC_ROWS blocks at a time, when the first of the chunk comes up;
-    each payload's scale, indices and decoded length are checked before
-    it joins the sum.
+    keeps only the codebooks decoded under in round t.  The transmit
+    dithers of each part of the payloads (_parts, as the encoder's) are
+    drawn and folded in one call (_transmit_dithers), whatever their
+    codebooks, when the first of the part comes up; each payload's scale,
+    indices and decoded length are checked before it joins the sum.
     """
     if len(payloads) != n_users:
         raise ProtocolError(f"round {t}: expected {n_users} payloads, got {len(payloads)}")
@@ -487,15 +487,10 @@ def server_round(
     if len(by_uid) != n_users or set(by_uid) != set(client_seeds):
         raise ProtocolError(f"round {t}: payload client ids do not match the registry")
     order = sorted(by_uid)
-    lats, groups = {}, {}
-    for uid in order:
-        p = by_uid[uid]
-        if p.kind != "none":
-            lats[uid] = _held_codebook(p.gen, t)
-            groups.setdefault((id(lats[uid]), p.indices.shape[0]), []).append(uid)
-    chunk_of = {
-        uid: part
-        for (_, n), uids in groups.items() for part in _chunks(uids, n) for uid in part
+    lats = {uid: _held_codebook(by_uid[uid].gen, t) for uid in order if by_uid[uid].kind != "none"}
+    part_of = {
+        uid: part for part in _parts({uid: by_uid[uid].indices.shape[0] for uid in lats})
+        for uid in part
     }
     total = np.zeros_like(w_global)
     dithers = {}
@@ -505,9 +500,9 @@ def server_round(
             total += p.raw_update
             continue
         if uid not in dithers:
-            part = chunk_of[uid]
+            part = part_of[uid]
             drawn = _transmit_dithers(
-                [lats[uid]] * len(part), [client_seeds[u] for u in part], t, p.indices.shape[0]
+                [lats[u] for u in part], [client_seeds[u] for u in part], t, p.indices.shape[0]
             )
             dithers.update(zip(part, drawn))
         h_hat = recombine(_decode(lats[uid], p.zeta, p.indices, dithers.pop(uid)), p.pad)

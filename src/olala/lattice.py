@@ -719,22 +719,17 @@ def _lookup(lat: TruncatedLattice, xs: np.ndarray) -> np.ndarray:
     every other row."""
     bound, ids, index = lat.lookup
     # A row whose Babai coordinates leave the box by more than the cube's
-    # reach cannot land in it; such rows (and non-finite ones) are left out
-    # of the search, or zeroed in a slot stack, which keeps every row in its
-    # place, so none reaches the integer cast.
+    # reach cannot land in it; such rows (and non-finite ones) are zeroed
+    # for the search, which keeps every row in its place, so none reaches
+    # the integer cast.
     near = np.all(np.abs(xs @ lat.inv.mT) <= bound + 3, axis=-1)
-    search = np.compress(near, xs, axis=0) if xs.ndim == 2 else np.where(near[..., None], xs, 0.0)
+    search = np.where(near[..., None], xs, 0.0)
     offsets = _search_offsets(lat, search.size // lat.dim)
     ls, cert = _cube_search(lat.gen, lat.inv, search, certify=True, offsets=offsets)
     keys = _box_ids(ls, bound)
     pos = np.minimum(np.searchsorted(ids, keys), ids.size - 1)
-    hit = cert & np.all(np.abs(ls) <= bound, axis=-1) & (ids[pos] == keys)
-    found = np.where(hit, index[pos], -1)
-    if xs.ndim == 2:
-        out = np.full(xs.shape[0], -1, dtype=np.int64)
-        out[near] = found
-        return out
-    return np.where(near, found, -1)
+    hit = near & cert & np.all(np.abs(ls) <= bound, axis=-1) & (ids[pos] == keys)
+    return np.where(hit, index[pos], -1)
 
 
 def rate_of(lat: TruncatedLattice) -> float:

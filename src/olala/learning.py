@@ -440,11 +440,10 @@ class _Slots:
     """The constants of a lockstep group of learners, one slot each, drawn
     once per learning run and read at every step: the knobs the slots share
     (cfg, with the first slot's seed), each slot's seed, blocks (U, n, L)
-    and measurement dither coordinates (U, _MEASURE_REPS, n, L), lists of
-    its scale fit set and its enumeration-memo holder (see
-    lattice.memo_slot), which starts from the process's memo, and the
-    stacks the scale fits run on: per size of fit set, the slots whose fit
-    sets have it, those fit sets and their measurement probe coordinates."""
+    and measurement dither coordinates (U, _MEASURE_REPS, n, L), and lists
+    of its scale fit set, its measurement probe coordinates (one row per
+    fit block) and its enumeration-memo holder (see lattice.memo_slot),
+    which starts from the process's memo."""
 
     def __init__(self, cfgs: list[LearnerConfig], blocks: np.ndarray):
         self.cfg = cfgs[0]
@@ -460,11 +459,10 @@ class _Slots:
         ])
         fits = [_fit_set(b, self.cfg) for b in blocks]
         self.fit, self.target = [f for f, _ in fits], fits[0][1]
-        probes = [
+        self.probe = [
             _coords(derive_seed(seed, _TAG_MEASURE_PROBE), 0, f.shape[0], dim)
             for seed, f in zip(self.seeds, self.fit)
         ]
-        self.fit_stacks = _fit_stacks(self.fit, probes)
         self.memos = [[lattice._memo] for _ in self.seeds]
 
     def take(self, sel: list[int]) -> "_Slots":
@@ -473,16 +471,9 @@ class _Slots:
         if sel == list(range(len(self.seeds))):
             return self
         out = copy.copy(self)
-        for name in ("seeds", "blocks", "measure", "fit", "memos"):
+        for name in ("seeds", "blocks", "measure", "fit", "probe", "memos"):
             part = getattr(self, name)
             setattr(out, name, part[sel] if isinstance(part, np.ndarray) else [part[i] for i in sel])
-        out.fit_stacks = []
-        for ks, fit, u in self.fit_stacks:
-            row = {k: j for j, k in enumerate(ks)}
-            mine = [i for i, k in enumerate(sel) if k in row]
-            if mine:
-                rows = [row[sel[i]] for i in mine]
-                out.fit_stacks.append((mine, fit[rows], u[rows]))
         return out
 
 
@@ -507,34 +498,24 @@ def _codebooks(raw: np.ndarray, slots: _Slots, sel) -> list:
     return out
 
 
-def _stacked(lats: list[TruncatedLattice]) -> tuple[np.ndarray, np.ndarray]:
-    return np.stack([lat.gen for lat in lats]), np.stack([lat.inv for lat in lats])
-
-
-def _fit_stacks(fits: list[np.ndarray], probes) -> list:
-    """The stacks a scale fit runs on (see _scale_and_slope): per size n of
-    fit set, the slots ks whose fit sets fits[k] have it, those fit sets
-    and the first n rows of the slots' probe coordinates probes[k]."""
-    by_size: dict[int, list[int]] = {}
-    for k, fit in enumerate(fits):
-        by_size.setdefault(fit.shape[0], []).append(k)
-    return [
-        (ks, np.stack([fits[k] for k in ks]), np.stack([probes[k][:n] for k in ks]))
-        for n, ks in by_size.items()
-    ]
-
-
 def _scale_and_slope(
-    fit_stacks: list, lats: list[TruncatedLattice], target: float, notes: dict | None = None
+    fits: list[np.ndarray], probes, lats: list[TruncatedLattice], target: float,
+    notes: dict | None = None,
 ):
-    """Each slot's zeta and d zeta / d gen (see _pinned_scale), one stack
-    (ks, fits (k, n, L), probes (k, n, L)) of fit_stacks at a time: the
-    slots ks, their fit sets and their probe coordinates, folded under
-    the slots' codebooks lats (sdq._fold_under).  With notes, each slot's
-    scale-fit warning is stored there under its slot instead of issued."""
+    """Each slot's zeta and d zeta / d gen (see _pinned_scale) from its fit
+    set fits[k] (n, L) and the first n rows of its probe coordinates
+    probes[k], folded under its codebook lats[k] (sdq._fold_under).  The
+    slots whose fit sets share a size run as one stack.  With notes, each
+    slot's scale-fit warning is stored there under its slot instead of
+    issued."""
     zeta = np.empty(len(lats))
     dzeta = np.zeros((len(lats), *lats[0].gen.shape))
-    for ks, fit, u in fit_stacks:
+    by_size: dict[int, list[int]] = {}
+    for k, f in enumerate(fits):
+        by_size.setdefault(f.shape[0], []).append(k)
+    for n, ks in by_size.items():
+        fit = np.stack([fits[k] for k in ks])
+        u = np.stack([probes[k][:n] for k in ks])
         d, fold = _fold_under(u, [lats[k] for k in ks])
         said = None if notes is None else {}
         z, p = _fit_scale_pinned(fit, lats[0].gamma, d, target, said)
@@ -568,17 +549,17 @@ def _pinned_scale(blocks, lat: TruncatedLattice, cfg, seed: int | None = None):
     if seed is None:
         seed = derive_seed(cfg.seed, _TAG_MEASURE_PROBE)
     u = _coords(seed, 0, fit.shape[0], lat.dim)
-    zeta, dzeta = _scale_and_slope([([0], fit[None], u[None])], [lat], target)
+    zeta, dzeta = _scale_and_slope([fit], [u], [lat], target)
     return float(zeta[0]), dzeta[0]
 
 
 def _measured_rows(slots: _Slots, ids, lats: list[TruncatedLattice], zeta: np.ndarray):
     """Error rows e, reconstruction coefficients a and a @ gen.T of each
     slot's blocks[ids] (ids (U, b); None for every block) under the
-    _MEASURE_REPS measurement dither streams of its seed: row rep * b + i
-    is block ids[i] under stream rep, reconstructed as (codeword - dither) /
-    zeta == gen @ a / zeta."""
-    gen, inv = _stacked(lats)
+    _MEASURE_REPS measurement dither streams of its seed, folded under its
+    codebook (sdq._fold_under): row rep * b + i is block ids[i] under
+    stream rep, reconstructed as (codeword - dither) / zeta == gen @ a /
+    zeta."""
     if ids is None:
         x, u = slots.blocks, slots.measure
     else:
@@ -586,10 +567,10 @@ def _measured_rows(slots: _Slots, ids, lats: list[TruncatedLattice], zeta: np.nd
         u = np.take_along_axis(slots.measure, ids[:, None, :, None], axis=2)
     stacked = u.shape  # (U, _MEASURE_REPS, b, L)
     u = u.reshape(stacked[0], -1, stacked[-1])
-    d, fold = _fold_dithers(u, gen, inv)
+    d, fold = _fold_under(u, lats)
     xs = (zeta[:, None, None, None] * x[:, None] + d.reshape(stacked)).reshape(d.shape)
     a = _quantize_slots(lats, xs) + fold - u
-    ag = a @ gen.mT
+    ag = a @ np.stack([lat.gen for lat in lats]).mT
     e = (x[:, None] - (ag / zeta[:, None, None]).reshape(stacked)).reshape(d.shape)
     return e, a, ag
 
@@ -607,7 +588,7 @@ def _measure(slots: _Slots, theta: np.ndarray):
     zeta = np.zeros(len(lats))
     if good:
         part, fine = slots.take(good), [lats[k] for k in good]
-        zeta[good], _ = _scale_and_slope(part.fit_stacks, fine, part.target)
+        zeta[good], _ = _scale_and_slope(part.fit, part.probe, fine, part.target)
         e, _, _ = _measured_rows(part, None, fine, zeta[good])
         mse[good] = np.einsum("uij,uij->u", e, e) / _MEASURE_REPS
     return mse, lats, zeta
@@ -692,7 +673,7 @@ def _measured_mse_grad(
         theta, batch_ids, gen, lat = theta[None], np.asarray(batch_ids)[None], gen[None], [lat]
         cfg = _Slots([cfg], blocks[None])
     raw, cache = _forward_cached(theta, lattice_dim) if fwd is None else fwd
-    zeta, dzeta = _scale_and_slope(cfg.fit_stacks, lat, cfg.target)
+    zeta, dzeta = _scale_and_slope(cfg.fit, cfg.probe, lat, cfg.target)
     e, a, ag = _measured_rows(cfg, batch_ids, lat, zeta)
     loss = np.einsum("uij,uij->u", e, e) / _MEASURE_REPS
     zs = [float(z) for z in zeta]

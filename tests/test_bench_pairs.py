@@ -53,6 +53,30 @@ def test_single_pair_quartiles_are_its_values(bench_pairs):
     assert summary["run_rel"]["change_lower"] == 1 and summary["run_rel"]["ties"] == 0
 
 
+def _pairs(parent, change):
+    return [
+        run for k, (p, c) in enumerate(zip(parent, change))
+        for run in (_run(k, "parent", p), _run(k, "change", c))
+    ]
+
+
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound(bench_pairs):
+    # run_rel's bound is 0.25: a parent IQR of 1.0 around a median of 3.0 is
+    # wider than 0.75, one of 0.2 is not.
+    wide = bench_pairs.summarize(_pairs([2.5, 3.0, 3.5, 2.0, 4.0], [3.1, 2.9, 3.0, 3.2, 2.8]))
+    assert wide["run_rel"]["parent_iqr"] == pytest.approx(1.0)
+    assert wide["run_rel"]["unresolved"]
+    assert not wide["ok_frac"]["unresolved"]  # no spread at all
+    narrow = bench_pairs.summarize(_pairs([2.9, 3.0, 3.1, 2.8, 3.2], [3.1, 2.9, 3.0, 3.2, 2.8]))
+    assert not narrow["run_rel"]["unresolved"]
+    # A wide spread is still resolved when every change run beats every
+    # parent run, in the direction the metric is better in.
+    apart = bench_pairs.summarize(_pairs([2.5, 3.0, 3.5, 2.0, 4.0], [1.0, 1.5, 1.2, 1.9, 0.8]))
+    assert not apart["run_rel"]["unresolved"]
+    worse = bench_pairs.summarize(_pairs([2.5, 3.0, 3.5, 2.0, 4.0], [5.0, 5.5, 5.2, 5.9, 4.8]))
+    assert worse["run_rel"]["unresolved"]
+
+
 def test_digests_agree_only_when_every_pair_matches(bench_pairs):
     runs = [_run(0, "parent", 3.0), _run(0, "change", 2.0), _run(1, "parent", 3.0)]
     assert not bench_pairs.digests_agree(runs)  # seed 1 has one side only

@@ -47,6 +47,10 @@ def test_idx_rejects_garbage(tmp_path):
     path.write_bytes(bytes([0, 0, 8, 1]) + (10).to_bytes(4, "big") + b"\x00" * 3)
     with pytest.raises(ValueError):
         read_idx(str(path))
+    # Three dimension words promised, one given.
+    path.write_bytes(bytes([0, 0, 8, 3]) + (10).to_bytes(4, "big"))
+    with pytest.raises(ValueError, match="bad.idx: IDX header cut short"):
+        read_idx(str(path))
 
 
 def test_idx_mismatched_pair(tmp_path):

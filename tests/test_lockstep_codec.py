@@ -295,12 +295,10 @@ def test_encoding_in_chunks_equals_client_by_client(monkeypatch, rows):
     assert [_payload_bytes(p) for p in got] == [_payload_bytes(p) for p in ref]
 
 
-def test_one_fold_per_stream_and_one_offset_set_per_codebook(monkeypatch):
-    # 5 clients of 1,000+ blocks score enough offsets to prune the cube.
-    cfg = _cfg(
-        quantizer="fixed_hex", rate=6.0, n_users=5, rounds=3, model="mlp", mlp_hidden="16,16",
-        synthetic_features=100,
-    )
+def _run_counts(monkeypatch, cfg):
+    """run_fl(cfg)'s dither folds, offset-set derivations and codebook
+    builds, keyed by (phase, name): the client's encoder, the server or
+    the rest of the run."""
     counts = {}
     phase = ["run"]
 
@@ -328,12 +326,31 @@ def test_one_fold_per_stream_and_one_offset_set_per_codebook(monkeypatch):
     monkeypatch.setattr(fl, "_encode_group", staged("client", fl._encode_group))
     monkeypatch.setattr(fl, "server_round", staged("server", fl.server_round))
     run_fl(cfg)
+    return counts
+
+
+def test_one_fold_per_stream_and_one_offset_set_per_codebook(monkeypatch):
+    # 5 clients of 1,000+ blocks score enough offsets to prune the cube.
+    cfg = _cfg(
+        quantizer="fixed_hex", rate=6.0, n_users=5, rounds=3, model="mlp", mlp_hidden="16,16",
+        synthetic_features=100,
+    )
+    counts = _run_counts(monkeypatch, cfg)
     rounds = cfg.rounds
     assert counts[("client", "fold")] == 2 * rounds  # one probe, one transmit fold
     assert counts[("server", "fold")] == rounds
     # One codebook, with its offset set, serves every round at both ends.
     assert counts[("client", "codebook")] == counts[("client", "offsets")] == 1
     assert ("server", "codebook") not in counts and ("server", "offsets") not in counts
+
+
+def test_the_server_folds_a_round_of_learned_codebooks_at_once(monkeypatch):
+    # Each client codes under the codebook it learned, 5 codebooks a round;
+    # both ends still fold a round's transmit dithers in one call.
+    cfg = _cfg(quantizer="olala", n_users=5, rounds=6)
+    counts = _run_counts(monkeypatch, cfg)
+    assert counts[("client", "fold")] == 2 * cfg.rounds  # one probe, one transmit fold
+    assert counts[("server", "fold")] == cfg.rounds
 
 
 def test_a_stacked_codec_call_holds_at_most_the_row_bound():

@@ -15,11 +15,15 @@ run is printed as it ends.  The summary of each end-to-end metric gives
 the quartiles of either side's values, the parent's interquartile range,
 how many pairs the change was lower in, how many it was better in (lower
 or higher, as the metric's ``better`` in BENCHMARK.json says) and how many
-tied, the metric's ``bound`` from BENCHMARK.json, and two verdicts:
+tied, the metric's ``bound`` from BENCHMARK.json, and three verdicts:
 ``worse_beyond_bound`` (the change's median is worse than the parent's by
-more than the bound, relative to the parent's median) and ``gain_shown``
+more than the bound, relative to the parent's median), ``gain_shown``
 (the change is better in at least 9 of 10 pairs and its median is better
-than the parent's by more than the parent's interquartile range).  After
+than the parent's by more than the parent's interquartile range) and
+``unresolved`` (the parent's interquartile range is wider than the bound,
+relative to the parent's median, so the runs spread too widely to tell a
+change within the bound, unless every change run is better than every
+parent run).  After
 each workload's pairs one verdict line is printed: the run_rel medians,
 gain_shown, the metrics worse beyond their bound and whether every case
 digest agreed.  The file goes to ``BENCH_<label>.json`` at the root of
@@ -82,8 +86,8 @@ def summarize(runs: list[dict]) -> dict:
     """Per end-to-end metric: unit, each side's quartiles and the parent's
     interquartile range, the number of pairs, the pairs in which the change
     was lower, better (per BETTER) or tied, the metric's bound and the
-    worse_beyond_bound and gain_shown verdicts.  runs holds one parent and
-    one change run per seed, in any order."""
+    worse_beyond_bound, gain_shown and unresolved verdicts.  runs holds one
+    parent and one change run per seed, in any order."""
     by_seed: dict[int, dict[str, dict]] = {}
     for run in runs:
         by_seed.setdefault(run["seed"], {})[run["side"]] = run["result"]["metrics"]
@@ -109,6 +113,8 @@ def summarize(runs: list[dict]) -> dict:
             "bound": BOUND[name],
             "worse_beyond_bound": -gain > BOUND[name] * abs(p_q["median"]),
             "gain_shown": 10 * better >= 9 * len(pairs) and gain > iqr,
+            "unresolved": iqr > BOUND[name] * abs(p_q["median"])
+            and not min(sign * c for c in change) > max(sign * p for p in parent),
         }
     return summary
 
