@@ -70,8 +70,10 @@ def load_idx_dataset(images_path: str, labels_path: str, n_classes: int = 10) ->
     their type's maximum (255 for uint8), so files share one scale; floats as stored."""
     images = read_idx(images_path)
     labels = read_idx(labels_path)
+    if images.ndim == 0:
+        raise ValueError(f"{images_path}: images have no sample axis")
     if labels.ndim != 1 or images.shape[0] != labels.shape[0]:
-        raise ValueError("image and label files disagree on sample count")
+        raise ValueError(f"{images_path} and {labels_path} disagree on sample count")
     feats = images.reshape(images.shape[0], -1).astype(np.float64)
     if np.issubdtype(images.dtype, np.integer):
         feats /= np.iinfo(images.dtype).max

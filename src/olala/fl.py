@@ -36,8 +36,8 @@ from .lattice import (
     GEN_HEXAGONAL,
     GEN_IDENTITY_2D,
     TruncatedLattice,
+    _quantize_slots,
     build_lattice,
-    quantize_batch,
 )
 from .learning import (
     SUPPORT_RADIUS,
@@ -433,8 +433,8 @@ def _codec(hs: list[np.ndarray], lats: list[TruncatedLattice], roots: list[int],
     Each client's probe and transmit coordinates come from one draw each
     over the clients' seeds; the probe dithers are folded and zeta fit
     once per size of fit set (_fit_scales), and the transmit dithers
-    folded once (_transmit_dithers).  One codebook quantizes and
-    decodes every slot at once, else each slot runs under its own.  A
+    folded once (_transmit_dithers).  The slots are quantized together
+    (lattice._quantize_slots) and each decoded under its own codebook.  A
     slot's scale-fit warning goes to notes under its index."""
     split = [split_vector(h, cfg.lattice_dim) for h in hs]
     blocks, pad = np.stack([b for b, _ in split]), split[0][1]
@@ -442,10 +442,7 @@ def _codec(hs: list[np.ndarray], lats: list[TruncatedLattice], roots: list[int],
     d = _transmit_dithers(lats, roots, t, blocks.shape[1])
     xs = zeta[:, None, None] * blocks
     xs += d
-    if all(lat is lats[0] for lat in lats):
-        indices = quantize_batch(lats[0], xs)
-        return zeta, indices, _decode(lats[0], zeta[:, None, None], indices, d), pad
-    indices = np.stack([quantize_batch(lat, x) for lat, x in zip(lats, xs)])
+    indices = _quantize_slots(lats, xs)
     recon = np.stack([_decode(*a) for a in zip(lats, zeta, indices, d)])
     return zeta, indices, recon, pad
 

@@ -162,15 +162,17 @@ class TruncatedLattice:
         return _offsets(self.gen, self.inv)
 
     @functools.cached_property
-    def lookup(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """(bound, ids, index), which map lattice points to codebook indices:
-        ids are the sorted flat mixed-radix ids of the codewords' coefficient
-        vectors inside the box [-bound, bound]^L; index[k] is the codebook
-        index of ids[k] (the identity for build_lattice's lexicographic order)."""
+    def lookup(self) -> tuple[int, np.ndarray]:
+        """(bound, table), which maps lattice points to codebook indices:
+        table holds, at the flat mixed-radix id (_box_ids) of each vector in
+        the box [-bound, bound]^L that holds the codewords' coefficient
+        vectors, the lowest codebook index of that vector, or -1 where no
+        codeword has it."""
         bound = int(np.abs(self.index_set).max())
-        ids = _box_ids(self.index_set, bound)
-        index = np.argsort(ids, kind="stable")
-        return bound, ids[index], index
+        table = np.full((2 * bound + 1) ** self.dim, self.size, dtype=np.int64)
+        np.minimum.at(table, _box_ids(self.index_set, bound), np.arange(self.size))
+        table[table == self.size] = -1
+        return bound, table
 
 
 def _points_within(
@@ -289,19 +291,15 @@ def _enumerate(gen: np.ndarray, bound: int, radius: float) -> tuple[np.ndarray, 
     return np.concatenate(kept_ls), np.concatenate(kept_sq)
 
 
-def build_lattice(
-    gen: np.ndarray, gamma: float, enum_cap: int = _ENUM_CAP_DEFAULT
-) -> TruncatedLattice:
+def build_lattice(gen: np.ndarray, gamma: float) -> TruncatedLattice:
     """Enumerate the codebook of lattice points within radius gamma."""
     gen = check_generator(gen)
     if not (gamma > 0):
         raise GeometryError(f"support radius must be positive, got {gamma}")
-    return _build(gen, gamma, gamma, enum_cap)[0]
+    return _build(gen, gamma, gamma)[0]
 
 
-def _build(
-    gen: np.ndarray, gamma: float, outer: float, enum_cap: int = _ENUM_CAP_DEFAULT, rows=None
-):
+def _build(gen: np.ndarray, gamma: float, outer: float, rows=None):
     """The codebook of a validated generator within gamma and, from the same
     enumeration at radius outer >= gamma, the lexicographic coefficient
     vectors of the points with gamma < norm <= outer.
@@ -316,7 +314,7 @@ def _build(
     serves the learner that measured it, the encoder and the decoder.
     """
     inv = np.linalg.inv(gen)
-    ls, sq = _points_within(gen, inv, outer, enum_cap) if rows is None else rows
+    ls, sq = _points_within(gen, inv, outer) if rows is None else rows
     inside = sq <= gamma * gamma
     index_set = np.compress(inside, ls, axis=0)
     codebook = index_set @ gen.T
@@ -653,8 +651,8 @@ def quantize_batch(lat: TruncatedLattice, xs: np.ndarray) -> np.ndarray:
     Codebooks of at most _LOOKUP_CUBES * 5^L codewords are scanned.  Larger
     ones first find each row's nearest lattice point with _cube_search; a
     certified point (the unique nearest, with a margin that outweighs
-    rounding) that is a codeword is the answer, and its index is found by
-    binary search in the lattice's sorted box ids.  Only the other rows
+    rounding) that is a codeword is the answer, and its index is read from
+    the lattice's box table (lookup).  Only the other rows
     (overload, uncertified, non-finite) are scanned, by _first_min, slot by
     slot.
     """
@@ -676,33 +674,31 @@ def quantize_batch(lat: TruncatedLattice, xs: np.ndarray) -> np.ndarray:
 
 
 def _quantize_slots(lats: list[TruncatedLattice], xs: np.ndarray) -> np.ndarray:
-    """The coefficient vectors of each slot's quantize_batch of its rows xs
-    (U, m, L) under its codebook lats[u].
+    """Each slot's quantize_batch indices of its rows xs (U, m, L) under its
+    codebook lats[u].
 
-    Where every codebook is scanned, the codebooks are padded to one size
-    and scored by one _first_min: each slot's scores are its own scan's,
-    because the scores of a real codeword do not depend on the columns
-    after it, and a padded row never wins, because it lies outside the
-    support ball (so it repeats no codeword) and its squared norm is taken
-    as +inf.  Otherwise each slot runs quantize_batch."""
-    dim = xs.shape[-1]
-    size = max(lat.size for lat in lats)
-    if min(lat.size for lat in lats) == 0:
+    Slots that all hold one codebook run one quantize_batch.  Where every
+    codebook is scanned, the codebooks are padded to one size and scored by
+    one _first_min: each slot's scores are its own scan's, because the
+    scores of a real codeword do not depend on the columns after it, and a
+    padded row never wins, because it lies outside the support ball (so it
+    repeats no codeword) and its squared norm is taken as +inf.  Otherwise
+    each slot runs quantize_batch."""
+    sizes = np.array([lat.size for lat in lats])
+    if sizes.min() == 0:
         raise GeometryError("cannot quantize against an empty codebook")
+    if all(lat is lats[0] for lat in lats):
+        return quantize_batch(lats[0], xs)
+    dim, size = xs.shape[-1], int(sizes.max())
     if size > _LOOKUP_CUBES * 5**dim:
-        return np.stack([lat.index_set[quantize_batch(lat, x)] for lat, x in zip(lats, xs)])
+        return np.stack([quantize_batch(lat, x) for lat, x in zip(lats, xs)])
     book = np.zeros((len(lats), size, dim))
     book[:, :, 0] = 2.0 * max(lat.gamma for lat in lats)
-    coef = np.zeros((len(lats), size, dim), dtype=np.int64)
-    pad = np.ones((len(lats), size), dtype=bool)
     for k, lat in enumerate(lats):
         book[k, : lat.size] = lat.codebook
-        coef[k, : lat.size] = lat.index_set
-        pad[k, : lat.size] = False
     book_sq = np.einsum("uij,uij->ui", book, book)
-    book_sq[pad] = np.inf
-    best = _first_min(book, book_sq, xs)
-    return np.take_along_axis(coef, best[..., None], axis=1)
+    book_sq[np.arange(size) >= sizes[:, None]] = np.inf
+    return _first_min(book, book_sq, xs)
 
 
 def _search_offsets(lat: TruncatedLattice, rows: int) -> _Offsets | None:
@@ -717,7 +713,7 @@ def _lookup(lat: TruncatedLattice, xs: np.ndarray) -> np.ndarray:
     """The codebook index of each row of xs (n, L), or of each slot's rows
     (U, n, L), whose certified nearest lattice point is a codeword; -1 for
     every other row."""
-    bound, ids, index = lat.lookup
+    bound, table = lat.lookup
     # A row whose Babai coordinates leave the box by more than the cube's
     # reach cannot land in it; such rows (and non-finite ones) are zeroed
     # for the search, which keeps every row in its place, so none reaches
@@ -726,10 +722,9 @@ def _lookup(lat: TruncatedLattice, xs: np.ndarray) -> np.ndarray:
     search = np.where(near[..., None], xs, 0.0)
     offsets = _search_offsets(lat, search.size // lat.dim)
     ls, cert = _cube_search(lat.gen, lat.inv, search, certify=True, offsets=offsets)
-    keys = _box_ids(ls, bound)
-    pos = np.minimum(np.searchsorted(ids, keys), ids.size - 1)
-    hit = near & cert & np.all(np.abs(ls) <= bound, axis=-1) & (ids[pos] == keys)
-    return np.where(hit, index[pos], -1)
+    hit = near & cert & np.all(np.abs(ls) <= bound, axis=-1)
+    keys = _box_ids(np.where(hit[..., None], ls, 0), bound)  # a missed row keys the origin
+    return np.where(hit, table[keys], -1)
 
 
 def rate_of(lat: TruncatedLattice) -> float:

@@ -569,7 +569,7 @@ def _measured_rows(slots: _Slots, ids, lats: list[TruncatedLattice], zeta: np.nd
     u = u.reshape(stacked[0], -1, stacked[-1])
     d, fold = _fold_under(u, lats)
     xs = (zeta[:, None, None, None] * x[:, None] + d.reshape(stacked)).reshape(d.shape)
-    a = _quantize_slots(lats, xs) + fold - u
+    a = np.stack([lat.index_set[i] for lat, i in zip(lats, _quantize_slots(lats, xs))]) + fold - u
     ag = a @ np.stack([lat.gen for lat in lats]).mT
     e = (x[:, None] - (ag / zeta[:, None, None]).reshape(stacked)).reshape(d.shape)
     return e, a, ag

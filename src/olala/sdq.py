@@ -177,10 +177,9 @@ def decode_blocks(codec: SdqCodec, indices: np.ndarray, dithers: np.ndarray) -> 
 
 
 def _decode(lat: TruncatedLattice, zeta, indices: np.ndarray, dithers: np.ndarray) -> np.ndarray:
-    """(codeword - dither) / zeta of each index under the codebook lat, once
-    the scale and every index are checked: indices (n,) and dithers (n, L)
-    under one scale, or a slot stack (U, n) and (U, n, L) with zeta (U, 1, 1)."""
-    if not np.all(zeta > 0):
+    """(codeword - dither) / zeta of each index (n,) with its dither (n, L)
+    under the codebook lat, once the scale and every index are checked."""
+    if not zeta > 0:
         raise ValueError(f"input scale must be positive, got {zeta}")
     indices = np.asarray(indices)
     size = lat.size

@@ -100,3 +100,50 @@ def test_verdict_line_names_medians_gain_worse_metrics_and_digests(bench_pairs):
     line = bench_pairs.verdict_line("fl_olala_l2", bench_pairs.summarize(runs), False)
     assert line.endswith("gain_shown false, worse_beyond_bound none, "
                          "digests_equal_parent_change false")
+
+
+CANNED = '''"""Module doc.
+
+More."""
+
+import os  # a trailing comment leaves a code line
+
+
+# a full-line comment
+def f():
+    """One line."""
+    return os.sep
+
+
+class C:
+    """Two
+    lines."""
+
+    x = "not a docstring"
+'''
+
+
+def _tree(root, modules):
+    package = root / "src" / "olala"
+    package.mkdir(parents=True)
+    for name, text in modules.items():
+        (package / name).write_text(text)
+    return root
+
+
+def test_line_counts_split_code_from_docstrings_on_two_trees(bench_pairs, tmp_path):
+    parent = _tree(tmp_path / "parent", {"a.py": CANNED, "gone.py": "x = 1\n\ny = 2\n"})
+    shorter = CANNED.replace('    x = "not a docstring"\n', "")
+    change = _tree(tmp_path / "change", {"a.py": shorter, "b.py": '"""Only a docstring."""\n'})
+    lines = {"parent": bench_pairs.line_counts(parent), "change": bench_pairs.line_counts(change)}
+    assert lines["parent"] == {
+        "a.py": {"total": 18, "code": 5, "docstring": 6},
+        "gone.py": {"total": 3, "code": 2, "docstring": 0},
+    }
+    assert lines["change"] == {
+        "a.py": {"total": 17, "code": 4, "docstring": 6},
+        "b.py": {"total": 1, "code": 0, "docstring": 1},
+    }
+    assert bench_pairs.lines_line(lines) == (
+        "src/olala lines: total 21 -> 18 (-3), code 7 -> 4 (-3), docstring 6 -> 7 (+1)"
+    )

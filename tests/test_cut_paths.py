@@ -1,7 +1,7 @@
 """What the program no longer accepts or special-cases: the theory checks'
 tolerances are module constants no caller can pass, count_codewords_at_most
-has no enumeration cap of its own, and the codebook lookup always goes
-through its sort permutation."""
+and build_lattice have no enumeration cap of their own, and the codebook
+lookup reads a shuffled codebook's indices from its box table."""
 
 import numpy as np
 import pytest
@@ -44,6 +44,7 @@ REMOVED = {
     ),
     "center_spread": lambda: checks.make_problem(2, 2, center_spread=2.0),
     "enum_cap": lambda: count_codewords_at_most(np.eye(2), 3.0, 100, enum_cap=10),
+    "build_lattice enum_cap": lambda: build_lattice(np.eye(2), 3.0, enum_cap=10**6),
 }
 
 
@@ -87,13 +88,36 @@ def test_lookup_on_a_shuffled_codebook(gen, gamma):
     shuffled = TruncatedLattice(
         gen=lat.gen, gamma=lat.gamma, index_set=lat.index_set[perm], codebook=lat.codebook[perm]
     )
-    _, ids, index = shuffled.lookup
-    assert not np.array_equal(index, np.arange(lat.size))
-    assert np.array_equal(shuffled.index_set[index], lat.index_set)
-    assert np.all(ids[1:] > ids[:-1])
+    bound, table = shuffled.lookup
+    radix = (2 * bound + 1) ** np.arange(dim - 1, -1, -1)
+    ids = (shuffled.index_set + bound) @ radix
+    expect = np.full((2 * bound + 1) ** dim, -1)
+    expect[ids] = np.arange(lat.size)
+    assert np.array_equal(table, expect)
 
     xs = 1.2 * gamma * (2.0 * np.random.default_rng(1).random((1000, dim)) - 1.0)
     got = quantize_batch(shuffled, xs)
     dist = ((xs[:, None, :] - shuffled.codebook[None, :, :]) ** 2).sum(axis=2)
     assert np.array_equal(got, np.argmin(dist, axis=1))
     assert np.array_equal(shuffled.codebook[got], lat.codebook[quantize_batch(lat, xs)])
+
+
+def test_lookup_table_holds_the_lowest_of_repeated_indices():
+    # A hand-built codebook that lists some coefficient vectors twice, the
+    # copies before and after their first listing.
+    lat = build_lattice(0.1 * GEN_HEXAGONAL, 1.0)
+    assert lat.size > 4 * 5**lat.dim  # quantize_batch looks indices up
+    rows = np.concatenate([[7, 40], np.arange(lat.size), [3, 40, 90]])
+    book = TruncatedLattice(
+        gen=lat.gen, gamma=lat.gamma, index_set=lat.index_set[rows], codebook=lat.codebook[rows]
+    )
+    bound, table = book.lookup
+    ids = (book.index_set + bound) @ ((2 * bound + 1) ** np.arange(lat.dim - 1, -1, -1))
+    lowest = [np.flatnonzero(rows == r)[0] for r in rows]
+    assert np.array_equal(table[ids], lowest)
+    assert table[ids[[0, 1, 9, 42, 92]]].tolist() == [0, 1, 0, 1, 92]
+    assert np.count_nonzero(table >= 0) == lat.size
+
+    xs = lat.codebook + 1e-3
+    dist = ((xs[:, None, :] - book.codebook[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(quantize_batch(book, xs), np.argmin(dist, axis=1))

@@ -56,8 +56,12 @@ def test_idx_rejects_garbage(tmp_path):
 def test_idx_mismatched_pair(tmp_path):
     write_idx(str(tmp_path / "i.idx"), np.zeros((4, 2, 2), dtype=np.uint8))
     write_idx(str(tmp_path / "l.idx"), np.zeros(5, dtype=np.uint8))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="i.idx and .*l.idx disagree on sample count"):
         load_idx_dataset(str(tmp_path / "i.idx"), str(tmp_path / "l.idx"))
+    # A 0-dimensional image file: one value, no sample axis.
+    (tmp_path / "scalar.idx").write_bytes(bytes([0, 0, 8, 0, 7]))
+    with pytest.raises(ValueError, match="scalar.idx: images have no sample axis"):
+        load_idx_dataset(str(tmp_path / "scalar.idx"), str(tmp_path / "l.idx"))
 
 
 def test_synthetic_dataset_properties():

@@ -75,7 +75,7 @@ def test_build_errors():
     with pytest.raises(GeometryError):
         build_lattice(np.eye(2), -1.0)
     with pytest.raises(ResourceLimitError):
-        build_lattice(0.0005 * np.eye(2), 1.0, enum_cap=10**6)
+        build_lattice(0.0005 * np.eye(2), 1.0)
 
 
 def test_count_codewords_early_exit():

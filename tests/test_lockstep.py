@@ -263,9 +263,9 @@ def test_stacked_ops_give_each_slot_its_own_bits(dim):
             for g in gens
         ]
         ys = 1.2 * draw.normal(size=(U, rows, dim)) / np.sqrt(dim)
-        coef = _quantize_slots(lats, ys)
+        idx = _quantize_slots(lats, ys)
         for k, lat in enumerate(lats):
-            assert _same(coef[k], lat.index_set[quantize_batch(lat, ys[k])])
+            assert _same(idx[k], quantize_batch(lat, ys[k]))
 
         blocks = draw.normal(size=(U, rows, dim)) * draw.choice([1e-3, 1.0])
         d = 0.4 * draw.normal(size=(U, rows, dim))

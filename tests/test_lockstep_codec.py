@@ -353,6 +353,38 @@ def test_the_server_folds_a_round_of_learned_codebooks_at_once(monkeypatch):
     assert counts[("server", "fold")] == cfg.rounds
 
 
+def test_the_encoder_quantizes_a_round_of_learned_codebooks_at_once(monkeypatch):
+    # Five learned codebooks of at most 64 codewords (L=2, R=3): each
+    # _codec call quantizes its clients in one padded scan, with no
+    # quantize_batch call per client, by whichever name it is reached.
+    counts, inside = [], [False]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            if inside[0]:
+                counts[-1] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def codec(*args, **kwargs):
+        counts.append(0)
+        inside[0] = True
+        try:
+            return real(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    real = fl._codec
+    batch = counted(lattice.quantize_batch)
+    monkeypatch.setattr(lattice, "quantize_batch", batch)
+    monkeypatch.setattr(fl, "quantize_batch", batch, raising=False)
+    monkeypatch.setattr(fl, "_codec", codec)
+    cfg = _cfg(quantizer="olala", n_users=5, rounds=2, rate=3.0)
+    run_fl(cfg)
+    assert counts == [0] * cfg.rounds  # one _codec call a round
+
+
 def test_a_stacked_codec_call_holds_at_most_the_row_bound():
     # 40 clients of 784-wide MLP updates (26,506 parameters, 13,253 blocks
     # each): coded in one stack, the group's temporaries alone would take

@@ -26,13 +26,16 @@ change within the bound, unless every change run is better than every
 parent run).  After
 each workload's pairs one verdict line is printed: the run_rel medians,
 gain_shown, the metrics worse beyond their bound and whether every case
-digest agreed.  The file goes to ``BENCH_<label>.json`` at the root of
-this checkout.
+digest agreed.  The file also records each ``src/olala`` module's total,
+code and docstring line counts on either side (``lines``), and the net
+change of their sums is printed after the verdict lines.  The file goes
+to ``BENCH_<label>.json`` at the root of this checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import statistics
@@ -141,6 +144,42 @@ def verdict_line(workload: str, summary: dict, digests_equal: bool) -> str:
     )
 
 
+def line_counts(root: Path) -> dict[str, dict[str, int]]:
+    """Each src/olala module's total, code and docstring line counts in the
+    tree at root.  Docstring lines are those a module, class or function
+    docstring spans; code lines are the non-blank lines outside docstrings
+    and full-line comments."""
+    counts = {}
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted((root / "src" / "olala").glob("*.py")):
+        text = path.read_text()
+        doc: set[int] = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, kinds) and ast.get_docstring(node, clean=False) is not None:
+                doc.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        lines = [line.strip() for line in text.splitlines()]
+        code = sum(
+            1 for n, line in enumerate(lines, 1)
+            if line and not line.startswith("#") and n not in doc
+        )
+        counts[path.name] = {"total": len(lines), "code": code, "docstring": len(doc)}
+    return counts
+
+
+def lines_line(lines: dict) -> str:
+    """One line on the net change of src/olala's summed line counts, from
+    the parent's (lines["parent"]) to the change's (lines["change"])."""
+    sums = {
+        side: {kind: sum(m[kind] for m in lines[side].values())
+               for kind in ("total", "code", "docstring")}
+        for side in ("parent", "change")
+    }
+    return "src/olala lines: " + ", ".join(
+        f"{kind} {before} -> {sums['change'][kind]} ({sums['change'][kind] - before:+d})"
+        for kind, before in sums["parent"].items()
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description="Paired bench/run.py runs, parent against change.")
     ap.add_argument("--label", required=True)
@@ -172,6 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         parent_root = Path(tmp)
         parent_tree(args.parent, parent_root)
         sides = {"parent": parent_root, "change": ROOT}
+        doc["lines"] = {side: line_counts(root) for side, root in sides.items()}
         for item in args.workloads.split(","):
             workload, _, count = item.partition(":")
             runs = []
@@ -192,6 +232,7 @@ def main(argv: list[str] | None = None) -> int:
                 "runs": runs,
             }
             print(verdict_line(workload, summary, equal), flush=True)
+    print(lines_line(doc["lines"]), flush=True)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
