@@ -226,26 +226,22 @@ def _learn(nets, w, hs, cfg, seeds, shards=None) -> list[tuple[LearnedLattice, T
     slot per net under its seed, as one lockstep group, with each slot's
     task objective on its shard (x, y) for loss_kind=task.  Returns each
     slot's LearnedLattice and the codebook it was measured under."""
-    lcfgs = [
-        LearnerConfig(
-            loss_kind=cfg.loss_kind,
-            learning_rate=cfg.lattice_lr,
-            epochs=cfg.lattice_epochs,
-            batches=cfg.lattice_batches,
-            rate=cfg.rate,
-            target_overload=cfg.target_overload,
-            overload_mode=cfg.overload_mode,
-            heuristic_target=cfg.heuristic_target,
-            heuristic_filter_sigma=cfg.heuristic_filter_sigma,
-            seed=seed,
-        )
-        for seed in seeds
-    ]
+    lcfg = LearnerConfig(
+        loss_kind=cfg.loss_kind,
+        learning_rate=cfg.lattice_lr,
+        epochs=cfg.lattice_epochs,
+        batches=cfg.lattice_batches,
+        rate=cfg.rate,
+        target_overload=cfg.target_overload,
+        overload_mode=cfg.overload_mode,
+        heuristic_target=cfg.heuristic_target,
+        heuristic_filter_sigma=cfg.heuristic_filter_sigma,
+    )
     objectives = [
         make_objective(cfg.arch(), x, y) if cfg.loss_kind == "task" else None
         for x, y in (shards or [(None, None)] * len(nets))
     ]
-    return _learn_group(nets, [w] * len(nets), hs, lcfgs, objectives)
+    return _learn_group(nets, w, hs, lcfg, seeds, objectives)
 
 
 def _transmit_dithers(lats: list[TruncatedLattice], roots, t: int, n: int) -> np.ndarray:
@@ -475,8 +471,9 @@ def server_round(
     keeps only the codebooks decoded under in round t.  The transmit
     dithers of each part of the payloads (_parts, as the encoder's) are
     drawn and folded in one call (_transmit_dithers), whatever their
-    codebooks, when the first of the part comes up; each payload's scale,
-    indices and decoded length are checked before it joins the sum.
+    codebooks, when the first of the part comes up.  Every payload's shape
+    is checked before any codebook or dither (_check_payloads), and each
+    one's scale and indices before it joins the sum.
     """
     if len(payloads) != n_users:
         raise ProtocolError(f"round {t}: expected {n_users} payloads, got {len(payloads)}")
@@ -484,6 +481,7 @@ def server_round(
     if len(by_uid) != n_users or set(by_uid) != set(client_seeds):
         raise ProtocolError(f"round {t}: payload client ids do not match the registry")
     order = sorted(by_uid)
+    _check_payloads([by_uid[uid] for uid in order], w_global.size, t)
     lats = {uid: _held_codebook(by_uid[uid].gen, t) for uid in order if by_uid[uid].kind != "none"}
     part_of = {
         uid: part for part in _parts({uid: by_uid[uid].indices.shape[0] for uid in lats})
@@ -502,12 +500,41 @@ def server_round(
                 [lats[u] for u in part], [client_seeds[u] for u in part], t, p.indices.shape[0]
             )
             dithers.update(zip(part, drawn))
-        h_hat = recombine(_decode(lats[uid], p.zeta, p.indices, dithers.pop(uid)), p.pad)
-        if h_hat.size != p.m:
-            raise ProtocolError(f"round {t}: decoded length {h_hat.size} != m={p.m}")
-        total += h_hat
+        total += recombine(_decode(lats[uid], p.zeta, p.indices, dithers.pop(uid)), p.pad)
     _keep_round(t)
     return w_global + total / n_users
+
+
+def _check_payloads(payloads: list[Payload], m: int, t: int) -> None:
+    """Raise ProtocolError, naming round t and the client, on the first
+    payload whose shape does not decode to the model's m parameters: an
+    uncompressed payload's raw update must be a vector of length m; every
+    other payload needs a square generator of the round's one L (the first
+    coded payload's), a 1-D integer index array, a pad in [0, L) and
+    len(indices) L - pad == m; and every payload must declare m."""
+    dim = None
+    for p in payloads:
+        say = f"round {t}: client {p.uid}:"
+        if p.kind == "none":
+            shape = np.shape(p.raw_update)
+            if shape != (p.m,):
+                raise ProtocolError(f"{say} raw update of shape {shape} != ({p.m},)")
+        else:
+            shape = np.shape(p.gen)
+            if dim is None and shape:
+                dim = shape[-1]
+            if shape != (dim, dim):
+                raise ProtocolError(f"{say} generator of shape {shape}, the round's L is {dim}")
+            idx = p.indices
+            if not (isinstance(idx, np.ndarray) and idx.ndim == 1
+                    and np.issubdtype(idx.dtype, np.integer)):
+                raise ProtocolError(f"{say} indices are not a 1-D integer array")
+            if not (isinstance(p.pad, (int, np.integer)) and 0 <= p.pad < dim):
+                raise ProtocolError(f"{say} pad {p.pad!r} is outside [0, {dim})")
+            if idx.size * dim - p.pad != p.m:
+                raise ProtocolError(f"{say} decoded length {idx.size * dim - p.pad} != m={p.m}")
+        if p.m != m:
+            raise ProtocolError(f"{say} m={p.m}, the model has {m} parameters")
 
 
 def _build_dataset(cfg) -> tuple[Dataset, Dataset]:

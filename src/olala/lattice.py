@@ -7,7 +7,6 @@ at most gamma yields the finite codebook used by the codec.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import struct
@@ -71,23 +70,9 @@ _KTH_GROW = 1.25
 _MEMO_WIDEN = 1.1
 
 _cube_cache: dict[int, np.ndarray] = {}
-# The last fresh enumeration (B, R, ls, sq) of unslotted calls; see _points_within.
+# The last fresh enumeration (B, R, ls, sq) of calls without a slot; see
+# _points_within.
 _memo: tuple[np.ndarray, float, np.ndarray, np.ndarray] | None = None
-# The memo holder (a one-item list) of the active lockstep slot; see memo_slot.
-_slot: list | None = None
-
-
-@contextlib.contextmanager
-def memo_slot(holder: list):
-    """Route _points_within's memo to holder[0] while active, so lockstep
-    slots interleaved in one process each keep their own entry instead of
-    evicting each other's."""
-    global _slot
-    outer, _slot = _slot, holder
-    try:
-        yield
-    finally:
-        _slot = outer
 
 
 def check_generator(gen: np.ndarray) -> np.ndarray:
@@ -176,7 +161,8 @@ class TruncatedLattice:
 
 
 def _points_within(
-    gen: np.ndarray, inv: np.ndarray, radius: float, enum_cap: int = _ENUM_CAP_DEFAULT
+    gen: np.ndarray, inv: np.ndarray, radius: float, enum_cap: int = _ENUM_CAP_DEFAULT,
+    slot: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient vectors l with ||gen @ l|| <= radius, in lexicographic
     order, and their squared norms.  inv is gen^-1.
@@ -202,10 +188,12 @@ def _points_within(
     _MEMO_WIDEN times the radius, or at the widest radius whose box fits
     enum_cap when that box would not (see _widest_radius), stored, and
     filtered back to the radius.  Results never depend on the memo's
-    state.  Inside memo_slot the entry read and written is the slot's,
-    else the process's _memo.  Rows are kept by index gathers, which copy
-    the same rows in the same order several times faster than a boolean
-    mask does on 2-D rows.
+    state.  The entry read and written is slot[0] when a slot (a one-item
+    list: a lockstep learner slot's memo holder) is given, so slots
+    interleaved in one process keep their own entries, else the process's
+    _memo.  Rows are kept by index gathers, which copy the same rows in
+    the same order several times faster than a boolean mask does on 2-D
+    rows.
     """
     global _memo
     dim = gen.shape[0]
@@ -215,9 +203,8 @@ def _points_within(
         raise ResourceLimitError(
             f"lattice enumeration box has {total} candidates (cap {enum_cap})"
         )
-    holder = _slot
     # read once: the answer and its certificate use one entry
-    memo = _memo if holder is None else holder[0]
+    memo = _memo if slot is None else slot[0]
     if memo is not None and _memo_covers(memo, gen, inv, radius):
         ls = memo[2]
         pts = ls @ gen.T
@@ -228,10 +215,10 @@ def _points_within(
             wide = _widest_radius(reach, dim, enum_cap, radius)
         ls, sq = _enumerate(gen, int(math.ceil(wide * reach)), wide)
         entry = (gen.copy(), wide, ls, sq)
-        if holder is None:
+        if slot is None:
             _memo = entry
         else:
-            holder[0] = entry
+            slot[0] = entry
     at = np.flatnonzero(sq <= radius * radius)
     return ls.take(at, axis=0), sq.take(at)
 
@@ -299,7 +286,7 @@ def build_lattice(gen: np.ndarray, gamma: float) -> TruncatedLattice:
     return _build(gen, gamma, gamma)[0]
 
 
-def _build(gen: np.ndarray, gamma: float, outer: float, rows=None):
+def _build(gen: np.ndarray, gamma: float, outer: float, rows=None, slot=None):
     """The codebook of a validated generator within gamma and, from the same
     enumeration at radius outer >= gamma, the lexicographic coefficient
     vectors of the points with gamma < norm <= outer.
@@ -308,13 +295,14 @@ def _build(gen: np.ndarray, gamma: float, outer: float, rows=None):
     lexicographic coefficient vectors that include every l with
     ||gen @ l|| <= outer, and their squared norms computed row by row as
     _points_within computes them (ls @ gen.T).  Filtered to outer, they are
-    _points_within's answer, bit for bit.
+    _points_within's answer, bit for bit.  Otherwise _points_within
+    enumerates them under the memo holder slot (None: the process's).
 
     The codebook's index_set, codebook and inv are read-only: one codebook
     serves the learner that measured it, the encoder and the decoder.
     """
     inv = np.linalg.inv(gen)
-    ls, sq = _points_within(gen, inv, outer) if rows is None else rows
+    ls, sq = _points_within(gen, inv, outer, slot=slot) if rows is None else rows
     inside = sq <= gamma * gamma
     index_set = np.compress(inside, ls, axis=0)
     codebook = index_set @ gen.T
@@ -362,15 +350,16 @@ def kth_norm(gen: np.ndarray, k: int) -> tuple[float, int]:
     return _kth_norm_points(gen, np.linalg.inv(gen), k)[:2]
 
 
-def _kth_norm_points(gen: np.ndarray, inv: np.ndarray, k: int):
+def _kth_norm_points(gen: np.ndarray, inv: np.ndarray, k: int, slot: list | None = None):
     """kth_norm of a validated generator, then its last enumeration: the
     radius it asked for, at least r (1 + 1e-12), and the coefficient
-    vectors of every point within it, in lexicographic order.
+    vectors of every point within it, in lexicographic order, each search
+    under the memo holder slot (see _points_within).
 
     The volume radius fell short of the k-th norm in every learner
     normalization counted near the hexagonal start, so the first request
     is one growth step beyond it; in the learner's runs that step also
-    reaches past the band above r whose rows normalize_scale hands on.  It
+    reaches past the band above r whose rows learning._normalize hands on.  It
     falls back to the volume radius when that step's box is over the cap,
     so the search raises ResourceLimitError on no input it returned on when
     it started there: where it returns, so does every wider request, with
@@ -384,7 +373,7 @@ def _kth_norm_points(gen: np.ndarray, inv: np.ndarray, k: int):
     if _box_size(float(np.linalg.norm(inv, axis=1).max()), radius, dim) > _ENUM_CAP_DEFAULT:
         radius = volume
     while True:
-        ls, sq = _points_within(gen, inv, radius)
+        ls, sq = _points_within(gen, inv, radius, slot=slot)
         if sq.size >= k:
             norms = np.sqrt(sq)
             r = float(np.partition(norms, k - 1)[k - 1])

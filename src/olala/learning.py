@@ -27,7 +27,7 @@ import copy
 import functools
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .lattice import (
     _kth_norm_points,
     _quantize_slots,
     check_generator,
-    memo_slot,
     pack_generator,
     quantize_batch,
     unpack_generator,
@@ -181,20 +180,26 @@ def normalize_scale(raw: np.ndarray, rate: float, gamma: float = SUPPORT_RADIUS)
     until a count over the points that search enumerated (a superset of the
     codewords) agrees.  A raw lattice so fine that r needs a search box
     beyond the enumeration cap raises ResourceLimitError.
-
-    The last count scores every enumerated row under c*raw, the normalized
-    generator.  When the search reached past r (1 + 2 _PIN_TOL), twice the
-    band for the rounding of c and of the norms, those rows hold every l
-    with ||c raw l|| <= gamma (1 + _PIN_TOL), the codebook with its budget
-    shell, so they are left in _normalized for _lattice_and_shell;
-    otherwise _normalized is cleared.
     """
-    global _normalized
+    return _normalize(raw, rate, gamma)[0]
+
+
+def _normalize(raw: np.ndarray, rate: float, gamma: float, slot: list | None = None):
+    """normalize_scale's c, the normalized generator c * raw and the rows
+    its last count scored, its norm search enumerated under the memo holder
+    slot (see lattice._points_within).
+
+    The last count scores every enumerated row under c*raw.  When the
+    search reached past r (1 + 2 _PIN_TOL), twice the band for the rounding
+    of c and of the norms, those rows hold every l with ||c raw l|| <=
+    gamma (1 + _PIN_TOL), the codebook with its budget shell, so they come
+    back as (ls, sq) for _lattice_and_shell; otherwise rows is None.
+    """
     raw = check_generator(raw)
     if not (gamma > 0):
         raise GeometryError(f"support radius must be positive, got {gamma}")
     budget = codeword_budget(raw.shape[0], rate)
-    r, _, ls, radius = _kth_norm_points(raw, np.linalg.inv(raw), budget + 1)
+    r, _, ls, radius = _kth_norm_points(raw, np.linalg.inv(raw), budget + 1, slot)
     c = gamma / r
     while True:
         gen = c * raw
@@ -204,8 +209,7 @@ def normalize_scale(raw: np.ndarray, rate: float, gamma: float = SUPPORT_RADIUS)
             break
         c = math.nextafter(c, math.inf)
     covered = r * (1.0 + 2.0 * _PIN_TOL) <= radius
-    _normalized = (gen, float(gamma), ls, sq) if covered else None
-    return c
+    return c, gen, ((ls, sq) if covered else None)
 
 
 def normalize_generator(raw: np.ndarray, rate: float, gamma: float = SUPPORT_RADIUS) -> np.ndarray:
@@ -422,9 +426,6 @@ def overload_heuristic_minus1(
 
 _MEASURE_REPS = 4
 _PIN_TOL = 1e-9
-# The last normalization's (generator, gamma, rows, squared norms), when its
-# rows hold the budget shell; see normalize_scale.
-_normalized: tuple[np.ndarray, float, np.ndarray, np.ndarray] | None = None
 
 
 def _fit_set(blocks: np.ndarray, cfg):
@@ -439,17 +440,15 @@ def _fit_set(blocks: np.ndarray, cfg):
 class _Slots:
     """The constants of a lockstep group of learners, one slot each, drawn
     once per learning run and read at every step: the knobs the slots share
-    (cfg, with the first slot's seed), each slot's seed, blocks (U, n, L)
-    and measurement dither coordinates (U, _MEASURE_REPS, n, L), and lists
-    of its scale fit set, its measurement probe coordinates (one row per
-    fit block) and its enumeration-memo holder (see lattice.memo_slot),
-    which starts from the process's memo."""
+    (cfg, whose seed no slot reads), each slot's seed, blocks (U, n, L) and
+    measurement dither coordinates (U, _MEASURE_REPS, n, L), and lists of
+    its scale fit set, its measurement probe coordinates (one row per fit
+    block) and its enumeration-memo holder (a one-item list, see
+    lattice._points_within), which starts from the process's memo."""
 
-    def __init__(self, cfgs: list[LearnerConfig], blocks: np.ndarray):
-        self.cfg = cfgs[0]
-        if any(replace(c, seed=self.cfg.seed) != self.cfg for c in cfgs[1:]):
-            raise ValueError("the slots of a learner group may differ in their seed only")
-        self.seeds = [c.seed for c in cfgs]
+    def __init__(self, cfg: LearnerConfig, seeds: list[int], blocks: np.ndarray):
+        self.cfg = cfg
+        self.seeds = list(seeds)
         self.blocks = blocks
         _, n, dim = blocks.shape
         self.measure = np.stack([
@@ -479,11 +478,10 @@ class _Slots:
 
 def _codebook(raw: np.ndarray, slots: _Slots, k: int):
     """normalize_generator's generator of slot k's raw matrix, as its
-    codebook and budget shell (see _lattice_and_shell), enumerated under
-    the slot's memo."""
-    with memo_slot(slots.memos[k]):
-        gen = normalize_generator(raw, slots.cfg.rate, SUPPORT_RADIUS)
-        return _lattice_and_shell(gen, SUPPORT_RADIUS)
+    codebook and budget shell (see _lattice_and_shell), from the rows its
+    normalization scored or enumerated under the slot's memo."""
+    _, gen, rows = _normalize(raw, slots.cfg.rate, SUPPORT_RADIUS, slots.memos[k])
+    return _lattice_and_shell(gen, SUPPORT_RADIUS, rows, slots.memos[k])
 
 
 def _codebooks(raw: np.ndarray, slots: _Slots, sel) -> list:
@@ -601,29 +599,25 @@ def _measured_mse(theta, lattice_dim, blocks, cfg: LearnerConfig) -> float:
     Averaged over a few dither realizations so the accept/revert decision
     tracks expected distortion rather than one draw's luck.
     """
-    slots = _Slots([cfg], np.asarray(blocks, dtype=np.float64)[None])
+    slots = _Slots(cfg, [cfg.seed], np.asarray(blocks, dtype=np.float64)[None])
     mse, lats, _ = _measure(slots, theta[None])
     if not isinstance(lats[0], TruncatedLattice):
         raise lats[0]
     return float(mse[0])
 
 
-def _lattice_and_shell(gen: np.ndarray, gamma: float) -> tuple[TruncatedLattice, np.ndarray]:
+def _lattice_and_shell(
+    gen: np.ndarray, gamma: float, rows=None, slot: list | None = None
+) -> tuple[TruncatedLattice, np.ndarray]:
     """The codebook of a normalized generator and its budget shell: one of
     each +-l pair of the points whose norm pins the normalization, which
     normalize_generator leaves within a relative _PIN_TOL above gamma.
 
-    When gen has, bit for bit, the shape and entries of the generator that
-    normalize_scale left in _normalized for this gamma, both come from the
-    rows it scored under gen, which hold every point within gamma (1 +
-    _PIN_TOL); filtered, they are a fresh enumeration's answer, bit for bit
-    (see _build).  Otherwise the points are enumerated."""
-    left = _normalized
-    same = (
-        left is not None and left[1] == gamma
-        and left[0].shape == gen.shape and left[0].tobytes() == gen.tobytes()
-    )
-    lat, band = _build(gen, gamma, gamma * (1.0 + _PIN_TOL), rows=left[2:] if same else None)
+    rows are the rows _normalize scored under gen for this gamma, which
+    hold every point within gamma (1 + _PIN_TOL); filtered, they are a
+    fresh enumeration's answer, bit for bit (see _build).  Without them
+    the points are enumerated under the memo holder slot."""
+    lat, band = _build(gen, gamma, gamma * (1.0 + _PIN_TOL), rows, slot)
     lead = band[np.arange(band.shape[0]), np.argmax(band != 0, axis=1)]
     return lat, np.compress(lead > 0, band, axis=0)
 
@@ -671,7 +665,7 @@ def _measured_mse_grad(
         blocks = np.asarray(blocks, dtype=np.float64)
         shell = [_budget_shell(gen, SUPPORT_RADIUS) if shell is None else shell]
         theta, batch_ids, gen, lat = theta[None], np.asarray(batch_ids)[None], gen[None], [lat]
-        cfg = _Slots([cfg], blocks[None])
+        cfg = _Slots(cfg, [cfg.seed], blocks[None])
     raw, cache = _forward_cached(theta, lattice_dim) if fwd is None else fwd
     zeta, dzeta = _scale_and_slope(cfg.fit, cfg.probe, lat, cfg.target)
     e, a, ag = _measured_rows(cfg, batch_ids, lat, zeta)
@@ -738,17 +732,20 @@ def _project_ties(theta, lattice_dim, raw, cache, shell, dtheta) -> None:
 
 def _learn_group(
     nets: list[PriorNet],
-    w_ts: list[np.ndarray],
+    w_t: np.ndarray,
     h_ts: list[np.ndarray],
-    cfgs: list[LearnerConfig],
+    cfg: LearnerConfig,
+    seeds: list[int],
     objectives: list,
 ) -> list[tuple[LearnedLattice, TruncatedLattice]]:
     """online_lattice_learning for a group of slots in lockstep: each slot's
     LearnedLattice and the codebook it was measured under.
 
-    The slots share every knob but their seed and have update vectors of
-    one length, so every step runs once for the group with a leading slot
-    axis: the prior net's passes, the scale fits, the measured rows and the
+    Slot k learns on the update h_ts[k] under seeds[k] (cfg.seed is not
+    read) and, for loss_kind=task, its objective objectives[k] at the
+    model w_t.  The slots share cfg and have update vectors of one length,
+    so every step runs once for the group with a leading slot axis: the
+    prior net's passes, the scale fits, the measured rows and the
     gradient.  Each stacked op acts on every slot's slice as it would on
     that slot alone, so a slot's result does not depend on the group it ran
     in.  The ragged parts run slot by slot: normalization, codebook and
@@ -756,12 +753,11 @@ def _learn_group(
     the neg_snr and task steps, and the step size, reversion and abort of
     the safeguard.
     """
-    cfg = cfgs[0]
     if cfg.loss_kind == "task" and any(o is None for o in objectives):
         raise ValueError("task loss requires a client objective")
     dim = nets[0].lattice_dim
     split = [split_vector(np.asarray(h, dtype=np.float64), dim) for h in h_ts]
-    slots = _Slots(cfgs, np.stack([blocks for blocks, _ in split]))
+    slots = _Slots(cfg, seeds, np.stack([blocks for blocks, _ in split]))
     n_slots, n_blocks = slots.blocks.shape[:2]
     n_batches = min(cfg.batches, n_blocks)  # no batch is empty
     theta0 = np.stack([net.theta for net in nets])
@@ -823,7 +819,7 @@ def _learn_group(
                     u = _coords(seed, 0, batch.shape[0], dim)
                     d, _ = _fold_dithers(u, lat.gen, lat.inv)
                     grads.append(_lattice_grad(
-                        theta[k], dim, batch, lat, zeta, cfg.loss_kind, d, w_ts[k],
+                        theta[k], dim, batch, lat, zeta, cfg.loss_kind, d, w_t,
                         objectives[k], split[k][1], fwd=(raw[i], (a1[i], a2[i])),
                     )[1])
                 dtheta = np.stack(grads)
@@ -881,4 +877,4 @@ def online_lattice_learning(
     emission neither normalizes nor fits a scale again.  This is the
     one-slot view of the lockstep group learner, _learn_group.
     """
-    return _learn_group([net], [w_t], [h_t], [cfg], [objective])[0][0]
+    return _learn_group([net], w_t, [h_t], cfg, [cfg.seed], [objective])[0][0]

@@ -114,22 +114,6 @@ def loss_and_grad(
     return loss, grad
 
 
-def _sgd_steps(
-    arch: ModelArch,
-    w: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    eta: float,
-    first_step: int,
-) -> None:
-    """Single-sample SGD on w in place, one step per row of (x, y) in order:
-    the one-slot view of _sgd_lockstep.  A non-finite loss raises
-    NumericError naming its first step as first_step + s."""
-    bad = _sgd_lockstep(arch, w, x, y, eta)
-    if bad.any():
-        raise NumericError(f"non-finite loss at local step {first_step + int(bad.argmax())}")
-
-
 def _sgd_lockstep(
     arch: ModelArch, w: np.ndarray, x: np.ndarray, y: np.ndarray, eta: float
 ) -> np.ndarray:

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 import olala.lattice as lattice
-import olala.learning as learning
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -22,8 +21,6 @@ def _src_on_child_pythonpath():
 
 @pytest.fixture(autouse=True)
 def _clear_enumeration_memo(monkeypatch):
-    """Start each test with an empty lattice enumeration memo and no rows
-    left by a normalization, so tests that count enumerations see the same
-    counts in any order or selection."""
+    """Start each test with an empty lattice enumeration memo, so tests that
+    count enumerations see the same counts in any order or selection."""
     monkeypatch.setattr(lattice, "_memo", None)
-    monkeypatch.setattr(learning, "_normalized", None)

@@ -48,7 +48,7 @@ def _strictly_lexicographic(ls):
 def _assert_shared(lat, gen):
     """lat is, bit for bit, the codebook a fresh build_lattice(gen, 1.0)
     gives, and neither repeats a coefficient vector."""
-    lattice._memo = learning._normalized = None
+    lattice._memo = None
     ref = build_lattice(gen, 1.0)
     for name in ("index_set", "codebook", "inv"):
         a, b = getattr(lat, name), getattr(ref, name)
@@ -83,7 +83,7 @@ def test_the_codebook_a_learner_emits_is_build_lattices(dim):
     # the codebook the encoder and the server then share.
     h = 0.01 * np.random.default_rng(dim).normal(size=240)
     cfg = LearnerConfig(rate=3.0, epochs=2, batches=2, seed=7)
-    [(out, lat)] = _learn_group([init_prior_net(dim, 11)], [np.zeros(240)], [h], [cfg], [None])
+    [(out, lat)] = _learn_group([init_prior_net(dim, 11)], np.zeros(240), [h], cfg, [7], [None])
     assert lat.gen is out.gen
     _assert_shared(lat, out.gen)
 

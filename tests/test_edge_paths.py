@@ -83,16 +83,16 @@ def test_degenerate_training_reverts_and_recovers(monkeypatch):
     net, h = _learning_inputs()
     cfg = LearnerConfig(loss_kind="mse", learning_rate=1e-4, epochs=2, batches=4,
                         rate=2.0, seed=9)
-    real = learning.normalize_generator
+    real = learning._normalize
     calls = {"n": 0}
 
-    def flaky(raw, rate, gamma=1.0):
+    def flaky(raw, rate, gamma, slot=None):
         calls["n"] += 1
         if calls["n"] in (2, 3):  # first measurement passes; two batches fail
             raise GeometryError("synthetic degeneracy")
-        return real(raw, rate, gamma)
+        return real(raw, rate, gamma, slot)
 
-    monkeypatch.setattr(learning, "normalize_generator", flaky)
+    monkeypatch.setattr(learning, "_normalize", flaky)
     out = online_lattice_learning(net, np.zeros(1), h, cfg)
     assert build_lattice(out.gen, 1.0).size <= 16
     assert np.all(np.isfinite(out.theta))
@@ -105,16 +105,16 @@ def test_degenerate_training_aborts_to_best_so_far(monkeypatch):
     theta0 = net.theta.copy()
     cfg = LearnerConfig(loss_kind="mse", learning_rate=1e-4, epochs=5, batches=4,
                         rate=2.0, seed=11)
-    real = learning.normalize_generator
+    real = learning._normalize
     calls = {"n": 0}
 
-    def broken(raw, rate, gamma=1.0):
+    def broken(raw, rate, gamma, slot=None):
         calls["n"] += 1
         if calls["n"] > 1:  # only the initial measurement succeeds
             raise GeometryError("synthetic degeneracy")
-        return real(raw, rate, gamma)
+        return real(raw, rate, gamma, slot)
 
-    monkeypatch.setattr(learning, "normalize_generator", broken)
+    monkeypatch.setattr(learning, "_normalize", broken)
     out = online_lattice_learning(net, np.zeros(1), h, cfg)
     assert np.array_equal(out.theta, theta0)
 

@@ -2,6 +2,7 @@
 is bit for bit the answer of a fresh box enumeration."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -144,7 +145,7 @@ def _strictly_lexicographic(ls):
 def _fresh_codebook_and_shell(gen):
     """_lattice_and_shell from a fresh enumeration: no rows handed over
     and the memo cleared."""
-    learning._normalized = lattice._memo = None
+    lattice._memo = None
     with mock.patch.object(lattice, "_enumerate", wraps=lattice._enumerate) as enumerate_:
         out = learning._lattice_and_shell(gen, 1.0)
     assert enumerate_.call_count == 1
@@ -174,7 +175,7 @@ def test_codebook_and_shell_from_the_normalization_rows_equal_fresh_ones(
     dim, seed, spread, rate, warm
 ):
     # The codebook and budget shell that _lattice_and_shell filters from the
-    # rows normalize_scale scored are, bit for bit, those of a fresh
+    # rows _normalize scored are, bit for bit, those of a fresh
     # enumeration, and no coefficient vector repeats.
     raws = [np.eye(dim) + spread * np.random.default_rng(seed).normal(size=(dim, dim))]
     if (dim, rate) == (2, 3.0):
@@ -183,18 +184,17 @@ def test_codebook_and_shell_from_the_normalization_rows_equal_fresh_ones(
         if not warm:
             lattice._memo = None
         try:
-            gen = learning.normalize_generator(raw, rate)
+            _, gen, rows = learning._normalize(raw, rate, 1.0)
         except ResourceLimitError:  # too skewed for the enumeration cap
             continue
-        left = learning._normalized
-        assert left is not None and left[0].tobytes() == gen.tobytes()
-        assert _strictly_lexicographic(left[2])
+        assert rows is not None
+        assert _strictly_lexicographic(rows[0])
         with mock.patch.object(lattice, "_points_within", wraps=lattice._points_within) as within:
-            got = learning._lattice_and_shell(gen, 1.0)
+            got = learning._lattice_and_shell(gen, 1.0, rows)
         assert within.call_count == 0  # served from the normalization's rows
         _assert_same_codebook_and_shell(got, _fresh_codebook_and_shell(gen))
-        other = np.nextafter(gen, np.inf)  # not the generator the rows were scored under
-        learning._normalized = left
+        assert gen.tobytes() == learning.normalize_generator(raw, rate).tobytes()
+        other = np.nextafter(gen, np.inf)  # without rows: enumerated
         with mock.patch.object(lattice, "_points_within", wraps=lattice._points_within) as within:
             learning._lattice_and_shell(other, 1.0)
         assert within.call_count == 1
@@ -203,21 +203,38 @@ def test_codebook_and_shell_from_the_normalization_rows_equal_fresh_ones(
 def test_rows_short_of_the_budget_band_are_not_handed_over(monkeypatch):
     # The warm start's 12 tied points, split by 1e-11: a search that stops
     # at r (1 + 1e-12), as kth_norm may, holds only part of the band above
-    # gamma, so normalize_scale hands no rows over and the codebook and
-    # shell are enumerated.
+    # gamma, so _normalize hands no rows over and the codebook and shell
+    # are enumerated.
     raw = GEN_HEXAGONAL + 1e-11 * np.random.default_rng(0).normal(size=(2, 2))
     real = learning._kth_norm_points
 
-    def stops_early(gen, inv, k):
-        r, ties, ls, _ = real(gen, inv, k)
+    def stops_early(gen, inv, k, slot=None):
+        r, ties, ls, _ = real(gen, inv, k, slot)
         pts = ls @ gen.T
         edge = r * (1.0 + 1e-12)
         return r, ties, ls[np.einsum("ij,ij->i", pts, pts) <= edge * edge], edge
 
     monkeypatch.setattr(learning, "_kth_norm_points", stops_early)
-    gen = learning.normalize_generator(raw, 3.0)
-    assert learning._normalized is None
-    got = learning._lattice_and_shell(gen, 1.0)
+    _, gen, rows = learning._normalize(raw, 3.0, 1.0)
+    assert rows is None
+    got = learning._lattice_and_shell(gen, 1.0, rows)
     ref = _fresh_codebook_and_shell(gen)
     _assert_same_codebook_and_shell(got, ref)
     assert ref[1].shape[0] > 1
+
+
+def test_a_normalization_and_its_codebook_leave_no_rows_behind():
+    # At R=8 the rows a normalization scores take about 2.4 MB; once its
+    # codebook is dropped and the process memo cleared, nothing holds them.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gen = learning.normalize_generator(GEN_HEXAGONAL, 8.0)
+        lat, shell = learning._lattice_and_shell(gen, 1.0)
+        assert 2**15 < lat.size <= 2**16 and shell.shape[0] >= 1
+        del lat, shell
+        lattice._memo = None
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024, kept

@@ -520,14 +520,14 @@ def test_learner_enumerates_and_validates_once_per_normalization(monkeypatch):
                     if value is fn:
                         monkeypatch.setattr(mod, attr, wrapper)
     log = []  # per normalization: its raw matrix and the calls until the next one
-    real = learning.normalize_generator
+    real = learning._normalize
 
-    def normalize(raw, rate, gamma=1.0):
+    def normalize(raw, rate, gamma, slot=None):
         sink[0] = collections.Counter()
         log.append((raw.copy(), sink[0]))
-        return real(raw, rate, gamma)
+        return real(raw, rate, gamma, slot)
 
-    monkeypatch.setattr(learning, "normalize_generator", normalize)
+    monkeypatch.setattr(learning, "_normalize", normalize)
     online_lattice_learning(net, np.zeros(1), h, cfg)
 
     assert len(log) == 1 + cfg.epochs * cfg.batches + 1  # start, steps, final weights
@@ -617,13 +617,13 @@ def test_lattice_grad_steps_validate_once_per_normalization(monkeypatch, loss_ki
                 if value is real_check:
                     monkeypatch.setattr(mod, attr, check)
     log = []
-    real = learning.normalize_generator
+    real = learning._normalize
 
-    def normalize(raw, rate, gamma=1.0):
+    def normalize(raw, rate, gamma, slot=None):
         log.append(raw)
-        return real(raw, rate, gamma)
+        return real(raw, rate, gamma, slot)
 
-    monkeypatch.setattr(learning, "normalize_generator", normalize)
+    monkeypatch.setattr(learning, "_normalize", normalize)
     h = _anisotropic_blocks().ravel()
     objective = lambda v: (float(v @ v), 2.0 * v)  # noqa: E731
     cfg = LearnerConfig(loss_kind=loss_kind, epochs=2, batches=4, rate=3.0, seed=5)

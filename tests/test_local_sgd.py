@@ -8,7 +8,7 @@ import olala.fl as fl
 from olala import rng
 from olala.errors import NumericError
 from olala.fl import local_train
-from olala.models import ModelArch, _sgd_steps, init_params, loss_and_grad
+from olala.models import ModelArch, _sgd_lockstep, init_params, loss_and_grad
 
 ARCHS = {
     "linear": ModelArch("linear", (6, 4)),
@@ -105,8 +105,9 @@ def test_each_step_subtracts_the_loss_and_grad_gradient_bit_for_bit(arch_name):
         got = want.copy()
         for s in range(x.shape[0]):
             want -= 0.3 * loss_and_grad(arch, want, x[s : s + 1], y[s : s + 1])[1]
-            _sgd_steps(arch, got, x[s : s + 1], y[s : s + 1], 0.3, s)
+            bad = _sgd_lockstep(arch, got, x[s : s + 1], y[s : s + 1], 0.3)
             assert got.tobytes() == want.tobytes()
+            assert bad.shape == (1,) and not bad.any()
 
 
 @pytest.mark.parametrize("arch_name", sorted(ARCHS))

@@ -2,6 +2,7 @@
 stacked computation, and each client's result is the one it gets alone."""
 
 import collections
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,19 +40,18 @@ def _group_inputs(n=5, loss_kind="mse", warm=None, **kw):
     nets = [init_prior_net(2, seed=30 + k, warm_start=warm if k == 2 else None) for k in range(n)]
     base = dict(loss_kind=loss_kind, epochs=2, batches=4, rate=3.0, learning_rate=1e-3)
     base.update(kw)
-    cfgs = [LearnerConfig(seed=100 + k, **base) for k in range(n)]
-    return nets, hs, cfgs
+    return nets, hs, LearnerConfig(**base), [100 + k for k in range(n)]
 
 
 def _objective(v):
     return float(v @ v), 2.0 * v
 
 
-def _alone(nets, hs, cfgs, loss_kind):
+def _alone(nets, w, hs, cfg, seeds, loss_kind):
     objective = _objective if loss_kind == "task" else None
     return [
-        online_lattice_learning(net.copy(), h, h, cfg, objective)
-        for net, h, cfg in zip(nets, hs, cfgs)
+        online_lattice_learning(net.copy(), w, h, replace(cfg, seed=seed), objective)
+        for net, h, seed in zip(nets, hs, seeds)
     ]
 
 
@@ -64,14 +64,15 @@ def _assert_same_learned(got, ref):
 @pytest.mark.parametrize("loss_kind", ["mse", "neg_snr", "task"])
 def test_group_slot_learns_what_it_learns_alone(loss_kind):
     # One group of 5, and the chunks of 3 and 2 that --parallel 2 runs.
-    nets, hs, cfgs = _group_inputs(loss_kind=loss_kind)
+    nets, hs, cfg, seeds = _group_inputs(loss_kind=loss_kind)
+    w = hs[0]  # the model the task objectives are evaluated around
     objectives = [_objective if loss_kind == "task" else None] * U
-    whole = _learn_group([n.copy() for n in nets], hs, hs, cfgs, objectives)
+    whole = _learn_group([n.copy() for n in nets], w, hs, cfg, seeds, objectives)
     chunks = [
-        _learn_group([n.copy() for n in nets[a:b]], hs[a:b], hs[a:b], cfgs[a:b], objectives[a:b])
+        _learn_group([n.copy() for n in nets[a:b]], w, hs[a:b], cfg, seeds[a:b], objectives[a:b])
         for a, b in ((0, 3), (3, U))
     ]
-    alone = _alone(nets, hs, cfgs, loss_kind)
+    alone = _alone(nets, w, hs, cfg, seeds, loss_kind)
     for (learned, lat), (part, _), ref in zip(whole, chunks[0] + chunks[1], alone):
         _assert_same_learned(learned, ref)
         _assert_same_learned(part, ref)
@@ -83,21 +84,21 @@ def test_a_failing_slot_leaves_its_group_alone(monkeypatch, fail_on):
     # Slot 2 starts from an identity-like warm start; normalization fails
     # for its raw matrices only, so it reverts twice or aborts, in the group
     # and alone alike, and every other slot learns what it learns alone.
-    nets, hs, cfgs = _group_inputs(warm=np.eye(2))
-    real = learning.normalize_generator
+    nets, hs, cfg, seeds = _group_inputs(warm=np.eye(2))
+    real = learning._normalize
     calls = {"n": 0}
 
-    def flaky(raw, rate, gamma=1.0):
+    def flaky(raw, rate, gamma, slot=None):
         if abs(raw[0, 1]) < 0.25:  # the identity-like slot; hexagonal has 0.5
             calls["n"] += 1
             if (calls["n"] in fail_on) if isinstance(fail_on, tuple) else calls["n"] > 1:
                 raise GeometryError("synthetic degeneracy")
-        return real(raw, rate, gamma)
+        return real(raw, rate, gamma, slot)
 
-    monkeypatch.setattr(learning, "normalize_generator", flaky)
-    group = _learn_group([n.copy() for n in nets], hs, hs, cfgs, [None] * U)
+    monkeypatch.setattr(learning, "_normalize", flaky)
+    group = _learn_group([n.copy() for n in nets], hs[0], hs, cfg, seeds, [None] * U)
     group_calls, calls["n"] = calls["n"], 0
-    alone = _alone(nets, hs, cfgs, "mse")
+    alone = _alone(nets, hs[0], hs, cfg, seeds, "mse")
     assert calls["n"] == group_calls > 1
     for (learned, _), ref in zip(group, alone):
         _assert_same_learned(learned, ref)
@@ -145,21 +146,20 @@ def _count_forward(monkeypatch):
 @pytest.mark.parametrize("n_slots", [1, U])
 @pytest.mark.parametrize("loss_kind", ["mse", "neg_snr"])
 def test_one_forward_pass_per_measurement_and_step(monkeypatch, n_slots, loss_kind):
-    nets, hs, cfgs = _group_inputs(n_slots, loss_kind=loss_kind)
+    nets, hs, cfg, seeds = _group_inputs(n_slots, loss_kind=loss_kind)
     counts = _count_forward(monkeypatch)
     if n_slots == 1:
-        online_lattice_learning(nets[0], hs[0], hs[0], cfgs[0])
+        online_lattice_learning(nets[0], hs[0], hs[0], replace(cfg, seed=seeds[0]))
     else:
-        _learn_group(nets, hs, hs, cfgs, [None] * n_slots)
-    cfg = cfgs[0]
+        _learn_group(nets, hs[0], hs, cfg, seeds, [None] * n_slots)
     assert counts["n"] == 1 + cfg.epochs * cfg.batches + 1  # start, steps, final weights
 
 
-def _fresh_per_slot(monkeypatch, nets, hs, cfgs):
+def _fresh_per_slot(monkeypatch, nets, hs, cfg, seeds):
     """Fresh box enumerations charged to each slot of one group run."""
     fresh = [0] * len(nets)
     current = [None]
-    position = {cfg.seed: k for k, cfg in enumerate(cfgs)}
+    position = {seed: k for k, seed in enumerate(seeds)}
     real_enumerate, real_codebook = lattice._enumerate, learning._codebook
 
     def enumerate_(*args):
@@ -174,15 +174,15 @@ def _fresh_per_slot(monkeypatch, nets, hs, cfgs):
         patch.setattr(lattice, "_enumerate", enumerate_)
         patch.setattr(learning, "_codebook", codebook)
         patch.setattr(lattice, "_memo", None)
-        _learn_group([n.copy() for n in nets], hs, hs, cfgs, [None] * len(nets))
+        _learn_group([n.copy() for n in nets], hs[0], hs, cfg, seeds, [None] * len(nets))
     return fresh
 
 
 def test_a_slot_enumerates_no_more_boxes_in_a_group_than_alone(monkeypatch):
-    nets, hs, cfgs = _group_inputs(learning_rate=1e-2)
-    group = _fresh_per_slot(monkeypatch, nets, hs, cfgs)
+    nets, hs, cfg, seeds = _group_inputs(learning_rate=1e-2)
+    group = _fresh_per_slot(monkeypatch, nets, hs, cfg, seeds)
     alone = [
-        _fresh_per_slot(monkeypatch, [nets[k]], [hs[k]], [cfgs[k]])[0] for k in range(U)
+        _fresh_per_slot(monkeypatch, [nets[k]], [hs[k]], cfg, [seeds[k]])[0] for k in range(U)
     ]
     assert all(0 < g <= a for g, a in zip(group, alone))
 
@@ -224,13 +224,13 @@ def test_each_slot_enumerates_once_per_normalization(monkeypatch, overrides):
 
     monkeypatch.setattr(lattice, "_points_within", within)
     monkeypatch.setattr(learning, "_codebook", codebook)
-    for name in ("normalize_generator", "_lattice_and_shell"):
+    for name in ("_normalize", "_lattice_and_shell"):
         monkeypatch.setattr(learning, name, staged(name, getattr(learning, name)))
     cfg = ExperimentConfig(**overrides)
     run_fl(cfg)
     steps = 1 + cfg.lattice_epochs * cfg.lattice_batches + 1  # start, steps, final weights
     assert len(log) == cfg.rounds * cfg.n_users * steps
-    assert all(calls == {"normalize_generator": 1} for calls in log)
+    assert all(calls == {"_normalize": 1} for calls in log)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -1e-2, float("inf"), 0.0])

@@ -115,7 +115,7 @@ def _reference_server_round(payloads, w_global, client_seeds, t, n_users):
         dithers = codec.dither.draw(p.indices.shape[0])
         h_hat = recombine(decode_blocks(codec, p.indices, dithers), p.pad)
         if h_hat.size != p.m:
-            raise ProtocolError(f"round {t}: decoded length {h_hat.size} != m={p.m}")
+            raise ProtocolError(f"round {t}: client {uid}: decoded length {h_hat.size} != m={p.m}")
         total += h_hat
     return w_global + total / n_users
 
@@ -272,6 +272,39 @@ def test_a_short_payload_raises_the_per_payload_length_error():
     with pytest.raises(ProtocolError) as got:
         fl.server_round(payloads, w, seeds, 1, cfg.n_users)
     assert str(got.value) == str(ref.value)
+
+
+def _shorter(p):
+    p.indices, p.m = p.indices[:-1], p.m - p.gen.shape[0]
+
+
+MALFORMED = {
+    "negative_pad": lambda p: setattr(p, "pad", -1),
+    "pad_of_L": lambda p: setattr(p, "pad", p.gen.shape[0]),
+    "3x3_generator": lambda p: setattr(p, "gen", np.eye(3)),
+    "float_indices": lambda p: setattr(p, "indices", p.indices.astype(np.float64)),
+    "no_indices": lambda p: setattr(p, "indices", None),
+    "2d_indices": lambda p: setattr(p, "indices", p.indices[:, None]),
+    "m_not_the_model_size": _shorter,
+    "none_without_raw_update": lambda p: setattr(p, "kind", "none"),
+    "none_with_a_short_raw_update": lambda p: (
+        setattr(p, "kind", "none"), setattr(p, "raw_update", np.zeros(p.m - 1))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_payload_is_refused_before_any_dither(monkeypatch, case):
+    cfg = _cfg(quantizer="fixed_hex", n_users=2)
+    payloads, seeds, w = _round_payloads(cfg)
+    MALFORMED[case](payloads[1])
+
+    def no_dithers(*args):
+        raise AssertionError("a dither was folded for a malformed round")
+
+    monkeypatch.setattr(fl, "_transmit_dithers", no_dithers)
+    with pytest.raises(ProtocolError, match=r"^round 1: client 1: "):
+        fl.server_round(payloads, w, seeds, 1, cfg.n_users)
 
 
 def test_the_server_decodes_a_chunked_group_as_one_payload_at_a_time(monkeypatch):

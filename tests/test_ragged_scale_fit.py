@@ -2,6 +2,8 @@
 each slot learns what it learns alone, and the padded codebook scan
 refuses an empty codebook."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,14 +34,10 @@ def _ragged_inputs():
         blocks[: OUTLIERS[k]] *= 8.0
         hs.append(blocks.ravel())
     nets = [init_prior_net(2, seed=30 + k) for k in range(U)]
-    cfgs = [
-        LearnerConfig(
-            seed=100 + k, overload_mode="heuristic_minus1", epochs=2, batches=4,
-            rate=3.0, learning_rate=1e-3,
-        )
-        for k in range(U)
-    ]
-    return nets, hs, cfgs
+    cfg = LearnerConfig(
+        overload_mode="heuristic_minus1", epochs=2, batches=4, rate=3.0, learning_rate=1e-3,
+    )
+    return nets, hs, cfg, [100 + k for k in range(U)]
 
 
 def _learned_bytes(learned):
@@ -47,18 +45,21 @@ def _learned_bytes(learned):
 
 
 def test_ragged_fit_sets_learn_what_each_slot_learns_alone():
-    nets, hs, cfgs = _ragged_inputs()
-    slots = _Slots(cfgs, np.stack([split_vector(h, 2)[0] for h in hs]))
+    nets, hs, cfg, seeds = _ragged_inputs()
+    slots = _Slots(cfg, seeds, np.stack([split_vector(h, 2)[0] for h in hs]))
     sizes = [fit.shape[0] for fit in slots.fit]
     assert len(set(sizes)) >= 2, sizes
 
-    whole = _learn_group([n.copy() for n in nets], hs, hs, cfgs, [None] * U)
+    whole = _learn_group([n.copy() for n in nets], hs[0], hs, cfg, seeds, [None] * U)
     chunks = [
-        _learn_group([n.copy() for n in nets[a:b]], hs[a:b], hs[a:b], cfgs[a:b], [None] * (b - a))
+        _learn_group(
+            [n.copy() for n in nets[a:b]], hs[0], hs[a:b], cfg, seeds[a:b], [None] * (b - a)
+        )
         for a, b in ((0, 3), (3, U))
     ]
     alone = [
-        online_lattice_learning(net.copy(), h, h, cfg) for net, h, cfg in zip(nets, hs, cfgs)
+        online_lattice_learning(net.copy(), hs[0], h, replace(cfg, seed=seed))
+        for net, h, seed in zip(nets, hs, seeds)
     ]
     for (learned, _), (part, _), ref in zip(whole, chunks[0] + chunks[1], alone):
         assert _learned_bytes(learned) == _learned_bytes(ref)
