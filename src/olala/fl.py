@@ -2,16 +2,17 @@
 
 Each round: the server broadcasts the model; every client runs local SGD,
 optionally relearns its lattice, scales and SDQ-encodes its update, and
-ships integer indices plus (generator, zeta) metadata.  A round's clients
-run local SGD as one lockstep group (_train_group), the clients that
-relearn in a round do so as one lockstep group (learning._learn_group), and
-the clients scale and encode as one lockstep codec (_encode_group).  The
-server rebuilds each client's dither stream from the shared seed, a group
-of clients at a time (_transmit_dithers), and decodes.  Everything is a
-pure function of the experiment config and master seed: reductions happen
-in ascending client id regardless of execution order, and a client's
-lattice does not depend on the group it learned in, so results do not
-depend on scheduling or on the --parallel setting.
+ships integer indices plus (generator, zeta) metadata.  A run has one
+quantizer kind and one model size, so a round's clients run local SGD as
+one lockstep group (_train_group), relearn together in the rounds their
+quantizer adapts in (learning._learn_group), and scale and encode as one
+lockstep codec (_encode_group), their updates all of one length.  The
+server rebuilds each client's dither stream from the shared seed, a part
+of the clients at a time (_transmit_dithers), and decodes.  Everything is
+a pure function of the experiment config and master seed: reductions
+happen in ascending client id regardless of execution order, and a
+client's lattice does not depend on the group it learned in, so results do
+not depend on scheduling or on the --parallel setting.
 """
 
 from __future__ import annotations
@@ -198,7 +199,6 @@ class ClientState:
     shard_x: np.ndarray
     shard_y: np.ndarray
     seed_root: int  # the per-client root all round seeds derive from
-    quantizer_kind: str
     gen: np.ndarray | None = None
     net: PriorNet | None = None
 
@@ -269,36 +269,28 @@ def client_round(client: ClientState, w_global: np.ndarray, t: int, cfg) -> Payl
 
 def _round_group(clients: list[ClientState], w_global: np.ndarray, t: int, cfg) -> list[Payload]:
     """Round t of a group of clients, in three phases: local training of
-    every client, as one lockstep group (_train_group); adaptation of every
-    client that adapts this round, as one lockstep learner group; scale fit
-    and encoding of every client, as one lockstep codec (_encode_group).
-    Reads the clients and writes none of them: run_fl applies each
-    payload's theta and gen.  A client's payload does not depend on the
-    group it ran in."""
+    every client, as one lockstep group (_train_group); in the rounds
+    cfg.quantizer adapts in, adaptation of every client, as one lockstep
+    learner group; scale fit and encoding of every client, as one lockstep
+    codec (_encode_group).  Reads the clients and writes none of them:
+    run_fl applies each payload's theta and gen.  A client's payload does
+    not depend on the group it ran in."""
     hs = _train_group(
         cfg.arch(), w_global, [(c.shard_x, c.shard_y) for c in clients], cfg.local_steps,
         cfg.model_lr, [rng.derive_seed(c.seed_root, t, rng.TAG_LOCAL_SGD) for c in clients],
     )
-    adapting = [
-        k for k, c in enumerate(clients)
-        if c.quantizer_kind != "none" and _adapts_this_round(c.quantizer_kind, t, cfg.adapt_every)
-    ]
-    learned = {}
-    if adapting:
-        nets = []
-        for k in adapting:
-            net = clients[k].net
-            if net is None or cfg.reset_theta_each_round:
-                net = init_prior_net(
-                    cfg.lattice_dim, rng.derive_seed(clients[k].seed_root, rng.TAG_CLIENT_ROOT)
-                )
-            nets.append(net)
-        group = _learn(
-            nets, w_global, [hs[k] for k in adapting], cfg,
-            [rng.derive_seed(clients[k].seed_root, t, rng.TAG_LATTICE_LEARN) for k in adapting],
-            [(clients[k].shard_x, clients[k].shard_y) for k in adapting],
+    learned = None
+    if _adapts_this_round(cfg.quantizer, t, cfg.adapt_every):
+        nets = [
+            init_prior_net(cfg.lattice_dim, rng.derive_seed(c.seed_root, rng.TAG_CLIENT_ROOT))
+            if c.net is None or cfg.reset_theta_each_round else c.net
+            for c in clients
+        ]
+        learned = _learn(
+            nets, w_global, hs, cfg,
+            [rng.derive_seed(c.seed_root, t, rng.TAG_LATTICE_LEARN) for c in clients],
+            [(c.shard_x, c.shard_y) for c in clients],
         )
-        learned = dict(zip(adapting, group))
     return _encode_group(clients, hs, t, cfg, learned)
 
 
@@ -336,58 +328,50 @@ def _keep_round(t: int) -> None:
 _CODEC_ROWS = 1 << 16
 
 
-def _parts(blocks: dict) -> list[list]:
-    """The parts both ends of the wire code in: the members of blocks
-    (member -> its update's block count) that share a block count, in
-    order, cut into consecutive parts of at most _CODEC_ROWS blocks (at
-    least one member each), whatever their codebooks."""
-    groups: dict[int, list] = {}
-    for member, n in blocks.items():
-        groups.setdefault(n, []).append(member)
-    parts = []
-    for n, ms in groups.items():
-        step = max(1, _CODEC_ROWS // max(n, 1))
-        parts += [ms[lo : lo + step] for lo in range(0, len(ms), step)]
-    return parts
+def _parts(count: int, blocks: int) -> list[slice]:
+    """The parts both ends of the wire code in: count updates of `blocks`
+    blocks each, cut into consecutive runs of at most _CODEC_ROWS blocks
+    (at least one update each), whatever their codebooks."""
+    step = max(1, _CODEC_ROWS // max(blocks, 1))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _encode_group(clients: list[ClientState], hs: list[np.ndarray], t: int, cfg, learned: dict):
-    """Scale fit and SDQ encoding of each client's update hs[k], under the
-    lattice it learned this round (learned[k]: the LearnedLattice and the
-    codebook it was measured under, which enters the store) or else the
+def _encode_group(clients: list[ClientState], hs: list[np.ndarray], t: int, cfg, learned):
+    """Scale fit and SDQ encoding of each client's update hs[k], all of one
+    length, under the lattice it learned this round (learned[k]: the
+    LearnedLattice and the codebook it was measured under, which enters
+    the store; learned is None in a round without adaptation) or else the
     one it holds, both taken from the codebook store (_held_codebook), as
-    a lockstep codec (_codec) over each part of the coded clients
-    (_parts).  The store then keeps only the codebooks coded under in
-    round t.  Each client's payload, and its scale-fit warning, is what
-    encoding it alone gives; the warnings come out in client order."""
-    payloads: list = [None] * len(clients)
-    coded = {}
-    for k, c in enumerate(clients):
-        if c.quantizer_kind == "none":
-            h = hs[k]
-            payloads[k] = Payload(
-                uid=c.uid, t=t, m=h.size, kind="none", bits=64 * h.size,
-                raw_update=h, recon=h.copy(), distortion=0.0, snr_db=math.inf,
-            )
-            continue
-        if k in learned:
-            out, lat = learned[k]
-            coded[k] = (_held_codebook(out.gen, t, lat), out.gen, out.theta)
-        else:
+    a lockstep codec (_codec) over each part of the clients (_parts).  The
+    store then keeps only the codebooks coded under in round t.  Under
+    quantizer=none the updates go up raw.  Each client's payload, and its
+    scale-fit warning, is what encoding it alone gives; the warnings come
+    out in client order."""
+    m = hs[0].size
+    if cfg.quantizer == "none":
+        return [
+            Payload(uid=c.uid, t=t, m=m, kind="none", bits=64 * m,
+                    raw_update=h, recon=h.copy(), distortion=0.0, snr_db=math.inf)
+            for c, h in zip(clients, hs)
+        ]
+    if learned is None:
+        for c in clients:
             if c.gen is None:
                 raise ProtocolError(f"client {c.uid} has no generator configured")
-            lat = _held_codebook(c.gen, t)
-            coded[k] = (lat, c.gen, None if c.net is None else c.net.theta)
-    notes: dict = {}
-    for part in _parts({k: -(-hs[k].size // cfg.lattice_dim) for k in coded}):
+        coded = [(_held_codebook(c.gen, t), c.gen, None if c.net is None else c.net.theta)
+                 for c in clients]
+    else:
+        coded = [(_held_codebook(out.gen, t, lat), out.gen, out.theta) for out, lat in learned]
+    bits = bits_accounting(m, cfg.rate, cfg.lattice_dim, cfg.include_zeta_bits)
+    payloads, notes = [], []
+    for part in _parts(len(clients), -(-m // cfg.lattice_dim)):
         said: dict = {}
         zeta, indices, recon, pad = _codec(
-            [hs[k] for k in part], [coded[k][0] for k in part],
-            [clients[k].seed_root for k in part], t, cfg, said,
+            hs[part], [lat for lat, _, _ in coded[part]],
+            [c.seed_root for c in clients[part]], t, cfg, said,
         )
-        notes.update((part[j], note) for j, note in said.items())
-        for j, k in enumerate(part):
-            (lat, gen, theta), h = coded[k], hs[k]
+        notes += [said[j] for j in sorted(said)]
+        for j, (c, h, (lat, gen, theta)) in enumerate(zip(clients[part], hs[part], coded[part])):
             rec = recombine(recon[j], pad)
             err = h - rec
             distortion = float(err @ err)
@@ -396,12 +380,12 @@ def _encode_group(clients: list[ClientState], hs: list[np.ndarray], t: int, cfg,
                 snr = math.inf
             else:  # an all-zero update carries no signal: -inf dB
                 snr = 10.0 * math.log10(sig / distortion) if sig else -math.inf
-            payloads[k] = Payload(
-                uid=clients[k].uid,
+            payloads.append(Payload(
+                uid=c.uid,
                 t=t,
-                m=h.size,
-                kind=clients[k].quantizer_kind,
-                bits=bits_accounting(h.size, cfg.rate, cfg.lattice_dim, cfg.include_zeta_bits),
+                m=m,
+                kind=cfg.quantizer,
+                bits=bits,
                 zeta=float(zeta[j]),
                 pad=pad,
                 gen=gen,
@@ -409,13 +393,13 @@ def _encode_group(clients: list[ClientState], hs: list[np.ndarray], t: int, cfg,
                 distortion=distortion,
                 snr_db=snr,
                 codebook_size=lat.size,
-                adapted=k in learned,
+                adapted=learned is not None,
                 theta=None if theta is None else theta.copy(),
                 recon=rec,
-            )
+            ))
     _keep_round(t)
-    for k in sorted(notes):
-        warnings.warn(notes[k], stacklevel=3)
+    for note in notes:
+        warnings.warn(note, stacklevel=3)
     return payloads
 
 
@@ -465,15 +449,15 @@ def server_round(
 
     Requires exactly one payload per registered client (full participation);
     the sum runs in ascending client id so arrival order is irrelevant.
-    Each payload decodes under its generator's codebook from the store
-    (_held_codebook): the one its client coded under when the client ran
-    in this process, else one built here once per run; the store then
-    keeps only the codebooks decoded under in round t.  The transmit
-    dithers of each part of the payloads (_parts, as the encoder's) are
-    drawn and folded in one call (_transmit_dithers), whatever their
-    codebooks, when the first of the part comes up.  Every payload's shape
-    is checked before any codebook or dither (_check_payloads), and each
-    one's scale and indices before it joins the sum.
+    Each coded payload decodes under its generator's codebook from the
+    store (_held_codebook): the one its client coded under when the client
+    ran in this process, else one built here once per run; the store then
+    keeps only the codebooks decoded under in round t.  The coded payloads,
+    in ascending client id, are cut into the encoder's parts (_parts), and
+    each part's transmit dithers are drawn and folded in one call
+    (_transmit_dithers), whatever their codebooks.  Every payload's shape
+    and scale are checked before any codebook or dither (_check_payloads),
+    and each one's indices as it decodes.
     """
     if len(payloads) != n_users:
         raise ProtocolError(f"round {t}: expected {n_users} payloads, got {len(payloads)}")
@@ -482,26 +466,18 @@ def server_round(
         raise ProtocolError(f"round {t}: payload client ids do not match the registry")
     order = sorted(by_uid)
     _check_payloads([by_uid[uid] for uid in order], w_global.size, t)
-    lats = {uid: _held_codebook(by_uid[uid].gen, t) for uid in order if by_uid[uid].kind != "none"}
-    part_of = {
-        uid: part for part in _parts({uid: by_uid[uid].indices.shape[0] for uid in lats})
-        for uid in part
-    }
-    total = np.zeros_like(w_global)
-    dithers = {}
-    for uid in order:
-        p = by_uid[uid]
-        if p.kind == "none":
-            total += p.raw_update
-            continue
-        if uid not in dithers:
-            part = part_of[uid]
-            drawn = _transmit_dithers(
-                [lats[u] for u in part], [client_seeds[u] for u in part], t, p.indices.shape[0]
-            )
-            dithers.update(zip(part, drawn))
-        total += recombine(_decode(lats[uid], p.zeta, p.indices, dithers.pop(uid)), p.pad)
+    updates = {uid: p.raw_update for uid, p in by_uid.items() if p.kind == "none"}
+    coded = [by_uid[uid] for uid in order if uid not in updates]
+    lats = [_held_codebook(p.gen, t) for p in coded]
+    n = coded[0].indices.size if coded else 0
+    for part in _parts(len(coded), n):
+        dithers = _transmit_dithers(lats[part], [client_seeds[p.uid] for p in coded[part]], t, n)
+        for p, lat, d in zip(coded[part], lats[part], dithers):
+            updates[p.uid] = recombine(_decode(lat, p.zeta, p.indices, d), p.pad)
     _keep_round(t)
+    total = np.zeros_like(w_global)
+    for uid in order:
+        total += updates[uid]
     return w_global + total / n_users
 
 
@@ -509,9 +485,10 @@ def _check_payloads(payloads: list[Payload], m: int, t: int) -> None:
     """Raise ProtocolError, naming round t and the client, on the first
     payload whose shape does not decode to the model's m parameters: an
     uncompressed payload's raw update must be a vector of length m; every
-    other payload needs a square generator of the round's one L (the first
-    coded payload's), a 1-D integer index array, a pad in [0, L) and
-    len(indices) L - pad == m; and every payload must declare m."""
+    other payload needs a finite positive input scale, a square generator
+    of the round's one L (the first coded payload's), a 1-D integer index
+    array, a pad in [0, L) and len(indices) L - pad == m; and every payload
+    must declare m."""
     dim = None
     for p in payloads:
         say = f"round {t}: client {p.uid}:"
@@ -520,6 +497,9 @@ def _check_payloads(payloads: list[Payload], m: int, t: int) -> None:
             if shape != (p.m,):
                 raise ProtocolError(f"{say} raw update of shape {shape} != ({p.m},)")
         else:
+            if not (isinstance(p.zeta, (int, float, np.integer, np.floating))
+                    and 0 < p.zeta < math.inf):
+                raise ProtocolError(f"{say} input scale {p.zeta!r} is not finite and positive")
             shape = np.shape(p.gen)
             if dim is None and shape:
                 dim = shape[-1]
@@ -580,7 +560,6 @@ def run_fl(cfg) -> FlResult:
                 shard_x=shard.features,
                 shard_y=shard.labels,
                 seed_root=rng.derive_seed(cfg.master_seed, rng.TAG_CLIENT_ROOT, u),
-                quantizer_kind=cfg.quantizer,
             )
         )
 

@@ -272,8 +272,8 @@ def pack_learned_lattice(learned: LearnedLattice) -> bytes:
 def unpack_learned_lattice(blob: bytes) -> tuple[np.ndarray, float]:
     gen = unpack_generator(blob[:-8])  # raises ValueError on a short or long blob
     (zeta,) = struct.unpack("<d", blob[-8:])
-    if not zeta > 0:
-        raise ValueError(f"input scale must be positive, got {zeta}")
+    if not 0 < zeta < math.inf:
+        raise ValueError(f"input scale must be finite and positive, got {zeta}")
     return gen, zeta
 
 
@@ -532,10 +532,11 @@ def _scale_and_slope(
 
 
 def _pinned_scale(blocks, lat: TruncatedLattice, cfg, seed: int | None = None):
-    """The one input-scale fit of the learner and client_round: zeta, as
-    fit_scale (or the heuristic, per cfg.overload_mode) finds it under the
-    probe stream rooted at seed (None: cfg.seed's measurement probe), and
-    d zeta / d gen.  client_round passes the experiment config as cfg.
+    """The one-slot form of _scale_and_slope (which a round's clients fit
+    through, in fl._fit_scales), for the neg_snr and task steps' batches:
+    zeta, as fit_scale (or the heuristic, per cfg.overload_mode) finds it
+    under the probe stream rooted at seed (None: cfg.seed's measurement
+    probe), and d zeta / d gen.
 
     zeta is the overload root of one probe block (see fit_scale): a root of
     that block's quadratic zeta^2 ||x||^2 + 2 zeta <x, d> + ||d||^2 =

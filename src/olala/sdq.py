@@ -145,8 +145,8 @@ class SdqCodec:
     dither: DitherStream = field(repr=False)
 
     def __post_init__(self):
-        if not (self.zeta > 0):
-            raise ValueError(f"input scale must be positive, got {self.zeta}")
+        if not 0 < self.zeta < math.inf:
+            raise ValueError(f"input scale must be finite and positive, got {self.zeta}")
 
 
 def sdq_encode(codec: SdqCodec, x: np.ndarray, d: np.ndarray) -> int:
@@ -179,8 +179,8 @@ def decode_blocks(codec: SdqCodec, indices: np.ndarray, dithers: np.ndarray) -> 
 def _decode(lat: TruncatedLattice, zeta, indices: np.ndarray, dithers: np.ndarray) -> np.ndarray:
     """(codeword - dither) / zeta of each index (n,) with its dither (n, L)
     under the codebook lat, once the scale and every index are checked."""
-    if not zeta > 0:
-        raise ValueError(f"input scale must be positive, got {zeta}")
+    if not 0 < zeta < math.inf:
+        raise ValueError(f"input scale must be finite and positive, got {zeta}")
     indices = np.asarray(indices)
     size = lat.size
     if indices.size and (indices.min() < 0 or indices.max() >= size):

@@ -71,6 +71,14 @@ def test_learned_lattice_metadata_roundtrip():
         unpack_learned_lattice(blob[:-1])
 
 
+@pytest.mark.parametrize("zeta", [-1.0, 0.0, np.nan, np.inf])
+def test_learned_lattice_metadata_refuses_a_scale_that_is_not_finite_and_positive(zeta):
+    learned = LearnedLattice(gen=normalize_generator(GEN_HEXAGONAL, 2.5), zeta=zeta,
+                             theta=np.zeros(1))
+    with pytest.raises(ValueError, match="^input scale must be finite and positive"):
+        unpack_learned_lattice(pack_learned_lattice(learned))
+
+
 def _learning_inputs(seed=0):
     rng_ = np.random.default_rng(seed)
     h = (rng_.normal(size=(120, 2)) * np.array([1.0, 0.3])).ravel()

@@ -57,7 +57,6 @@ def _clients_for(cfg):
             ClientState(
                 uid=u, shard_x=sub.features, shard_y=sub.labels,
                 seed_root=rng.derive_seed(cfg.master_seed, rng.TAG_CLIENT_ROOT, u),
-                quantizer_kind=cfg.quantizer,
             )
         )
     return clients

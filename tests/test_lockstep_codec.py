@@ -51,7 +51,7 @@ def _reference_codec(lat, zeta, seed_root, t):
 def _reference_encode(client, h, t, cfg, learned, codebooks):
     """One client's scale fit and encoding, on its own."""
     m = h.size
-    if client.quantizer_kind == "none":
+    if cfg.quantizer == "none":
         return Payload(
             uid=client.uid, t=t, m=m, kind="none", bits=64 * m,
             raw_update=h, recon=h.copy(), distortion=0.0, snr_db=math.inf,
@@ -79,7 +79,7 @@ def _reference_encode(client, h, t, cfg, learned, codebooks):
     else:
         snr = 10.0 * math.log10(sig / distortion) if sig else -math.inf
     return Payload(
-        uid=client.uid, t=t, m=m, kind=client.quantizer_kind,
+        uid=client.uid, t=t, m=m, kind=cfg.quantizer,
         bits=bits_accounting(m, cfg.rate, cfg.lattice_dim, cfg.include_zeta_bits),
         zeta=zeta, pad=pad, gen=gen, indices=indices, distortion=distortion, snr_db=snr,
         codebook_size=lat.size, adapted=learned is not None,
@@ -90,7 +90,7 @@ def _reference_encode(client, h, t, cfg, learned, codebooks):
 def _reference_encode_group(clients, hs, t, cfg, learned):
     codebooks = {}
     return [
-        _reference_encode(c, hs[k], t, cfg, learned.get(k), codebooks)
+        _reference_encode(c, hs[k], t, cfg, None if learned is None else learned[k], codebooks)
         for k, c in enumerate(clients)
     ]
 
@@ -190,11 +190,11 @@ def test_a_parallel_run_equals_the_serial_reference(monkeypatch, name):
     assert _run_bytes(run_fl(parallel)) == _reference_run(monkeypatch, cfg)
 
 
-def _held_clients(count, gen, kind="fixed_hex"):
+def _held_clients(count, gen):
     return [
         ClientState(
             uid=u, shard_x=None, shard_y=None, seed_root=rng.derive_seed(5, rng.TAG_CLIENT_ROOT, u),
-            quantizer_kind=kind, gen=gen,
+            gen=gen,
         )
         for u in range(count)
     ]
@@ -221,8 +221,8 @@ def test_scale_fit_warnings_come_once_per_client_in_client_order(mode):
     if mode == "heuristic_minus1":
         sizes = {_fit_set(split_vector(h, 2)[0], cfg)[0].shape[0] for h in hs}
         assert len(sizes) == 2, sizes
-    got, got_warned = _recorded(fl._encode_group, clients, hs, 1, cfg, {})
-    ref, ref_warned = _recorded(_reference_encode_group, clients, hs, 1, cfg, {})
+    got, got_warned = _recorded(fl._encode_group, clients, hs, 1, cfg, None)
+    ref, ref_warned = _recorded(_reference_encode_group, clients, hs, 1, cfg, None)
     assert [_payload_bytes(p) for p in got] == [_payload_bytes(p) for p in ref]
     assert got_warned == ref_warned
     assert [message[:8] for _, message in got_warned] == ["no feasi", "all-zero"] * 2 + ["no feasi"]
@@ -240,7 +240,7 @@ def _round_payloads(cfg, t=1):
         clients.append(ClientState(
             uid=u, shard_x=part.features, shard_y=part.labels,
             seed_root=rng.derive_seed(cfg.master_seed, rng.TAG_CLIENT_ROOT, u),
-            quantizer_kind=cfg.quantizer, gen=gen,
+            gen=gen,
         ))
     w = np.zeros(cfg.arch().n_params)
     payloads = fl._round_group(clients, w, t, cfg)
@@ -286,6 +286,10 @@ MALFORMED = {
     "no_indices": lambda p: setattr(p, "indices", None),
     "2d_indices": lambda p: setattr(p, "indices", p.indices[:, None]),
     "m_not_the_model_size": _shorter,
+    "zeta_negative": lambda p: setattr(p, "zeta", -1.0),
+    "zeta_zero": lambda p: setattr(p, "zeta", 0.0),
+    "zeta_nan": lambda p: setattr(p, "zeta", math.nan),
+    "zeta_inf": lambda p: setattr(p, "zeta", math.inf),
     "none_without_raw_update": lambda p: setattr(p, "kind", "none"),
     "none_with_a_short_raw_update": lambda p: (
         setattr(p, "kind", "none"), setattr(p, "raw_update", np.zeros(p.m - 1))
@@ -323,8 +327,8 @@ def test_encoding_in_chunks_equals_client_by_client(monkeypatch, rows):
     clients = _held_clients(5, normalize_generator(GEN_HEXAGONAL, cfg.rate, SUPPORT_RADIUS))
     draw = np.random.default_rng(3)
     hs = [0.01 * draw.standard_t(3, size=601) for _ in clients]
-    got = fl._encode_group(clients, hs, 2, cfg, {})
-    ref = _reference_encode_group(clients, hs, 2, cfg, {})
+    got = fl._encode_group(clients, hs, 2, cfg, None)
+    ref = _reference_encode_group(clients, hs, 2, cfg, None)
     assert [_payload_bytes(p) for p in got] == [_payload_bytes(p) for p in ref]
 
 
@@ -433,7 +437,7 @@ def test_a_stacked_codec_call_holds_at_most_the_row_bound():
     rows = fl._CODEC_ROWS * 2 * 8  # one float array of a full chunk
     tracemalloc.start()
     try:
-        payloads = fl._encode_group(clients, hs, 0, cfg, {})
+        payloads = fl._encode_group(clients, hs, 0, cfg, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import olala.fl as fl
 from olala import rng
 from olala.config import ExperimentConfig
 from olala.data import partition_dataset, synthetic_dataset
@@ -43,7 +44,6 @@ def _clients(cfg):
         ClientState(
             uid=u, shard_x=train.features[shards[u]], shard_y=train.labels[shards[u]],
             seed_root=rng.derive_seed(cfg.master_seed, rng.TAG_CLIENT_ROOT, u),
-            quantizer_kind=cfg.quantizer,
         )
         for u in range(cfg.n_users)
     ]
@@ -187,3 +187,35 @@ def test_payload_state_is_the_same_serial_and_parallel(kw):
             assert _same(ps.theta, pp.theta)
             assert _same(ps.gen, pp.gen)
     assert _same(serial.params, parallel.params)
+
+
+@pytest.mark.parametrize(
+    "kw, calls",
+    [
+        (dict(quantizer="olala"), [(0, 3), (1, 3), (2, 3), (3, 3)]),
+        (dict(quantizer="olala", adapt_every=2), [(0, 3), (2, 3)]),
+        (dict(quantizer="static_per_user"), [(0, 3)]),
+        (dict(quantizer="static_global"), [(None, 1)]),  # the offline phase
+        (dict(quantizer="fixed_hex"), []),
+        (dict(quantizer="none"), []),
+    ],
+    ids=["olala", "olala_adapt_every2", "static_per_user", "static_global", "fixed_hex", "none"],
+)
+def test_a_round_learns_every_client_in_one_call_or_none(monkeypatch, kw, calls):
+    # Every client of a run has the run's one quantizer, so a round either
+    # learns all of them as one group or learns none.
+    seen, round_t = [], [None]
+
+    def in_round(clients, w, t, cfg):
+        round_t[0] = t
+        return real_round(clients, w, t, cfg)
+
+    def learn_group(nets, *args):
+        seen.append((round_t[0], len(nets)))
+        return real_learn(nets, *args)
+
+    real_round, real_learn = fl._round_group, fl._learn_group
+    monkeypatch.setattr(fl, "_round_group", in_round)
+    monkeypatch.setattr(fl, "_learn_group", learn_group)
+    run_fl(_cfg(n_users=3, rounds=4, lattice_epochs=1, **kw))
+    assert seen == calls

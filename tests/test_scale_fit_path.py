@@ -78,7 +78,6 @@ def _client(cfg):
     return ClientState(
         uid=0, shard_x=sub.features, shard_y=sub.labels,
         seed_root=rng.derive_seed(cfg.master_seed, rng.TAG_CLIENT_ROOT, 0),
-        quantizer_kind=cfg.quantizer,
     )
 
 

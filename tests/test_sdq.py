@@ -105,6 +105,16 @@ def test_sdq_decode_and_errors():
         sdq_decode(codec, lat.size, np.zeros(2))
 
 
+@pytest.mark.parametrize("zeta", [-1.0, 0.0, math.nan, math.inf])
+def test_a_scale_that_is_not_finite_and_positive_is_refused(zeta):
+    # An infinite scale would decode every block to zero.
+    lat = build_lattice(np.eye(2), 1.0)
+    with pytest.raises(ValueError, match="^input scale must be finite and positive"):
+        SdqCodec(lattice=lat, zeta=zeta, dither=DitherStream(5, np.eye(2)))
+    with pytest.raises(ValueError, match="^input scale must be finite and positive"):
+        sdq._decode(lat, zeta, np.zeros(3, dtype=np.int64), np.zeros((3, 2)))
+
+
 def test_roundtrip_error_bounded_by_covering_radius():
     lat = build_lattice(np.eye(2), 3.0)
     codec = SdqCodec(lattice=lat, zeta=1.0, dither=DitherStream(9, np.eye(2)))
