@@ -112,11 +112,7 @@ def _do_sweep(cfg: ExperimentConfig, out_dir: Path, verbose: bool) -> int:
     ]
     # An entry the grid makes invalid (say fixed_hex at L=3) fails before any runs.
     for _, quantizer, rate in tasks:
-        try:
-            replace(cfg, quantizer=quantizer, rate=rate).validate()
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
+        replace(cfg, quantizer=quantizer, rate=rate).validate()
     workers = min(cfg.parallel, len(tasks))
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         rows = list((map if pool is None else pool.map)(_sweep_entry, tasks))
@@ -157,6 +153,9 @@ def main(argv: list[str] | None = None) -> int:
                 (out_dir / name).unlink(missing_ok=True)
             except OSError:
                 pass
+        if isinstance(exc, ConfigError):  # a config problem the verb found
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

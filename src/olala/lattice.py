@@ -1,8 +1,9 @@
 """Lattice geometry: truncated codebooks, nearest-point search, rates.
 
 A lattice is the set {G @ l : l integer} for a nonsingular generator matrix
-G (columns are the basis vectors).  Truncating to points with Euclidean norm
-at most gamma yields the finite codebook used by the codec.
+G: the columns of G are the basis vectors, in every stock GEN_* constant
+too.  Truncating to points with Euclidean norm at most gamma yields the
+finite codebook used by the codec.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ import numpy as np
 
 from .errors import GeometryError, ResourceLimitError
 
-# Stock 2-D generator matrices used as fixed-quantizer baselines.
+# Stock 2-D generator matrices used as fixed-quantizer baselines.  Their
+# columns are the basis vectors: GEN_D2's are (2, 0) and (1, -1), spanning
+# {x : x1 + x2 even}, and GEN_A2's have the Gram matrix [[2, -1], [-1, 2]]
+# to four digits.
 GEN_IDENTITY_2D = np.eye(2)
 GEN_HEXAGONAL = np.array([[1.0, 0.5], [0.0, math.sqrt(3.0) / 2.0]])
-GEN_D2 = np.array([[2.0, 0.0], [1.0, -1.0]])
-GEN_A2 = np.array([[math.sqrt(2.0), 0.0], [-0.7071, 1.2247]])
+GEN_D2 = np.array([[2.0, 1.0], [0.0, -1.0]])
+GEN_A2 = np.array([[math.sqrt(2.0), -0.7071], [0.0, 1.2247]])
 
 _ENUM_CAP_DEFAULT = 10**7
 _ENUM_CHUNK = 1 << 18

@@ -484,13 +484,13 @@ def _codebook(raw: np.ndarray, slots: _Slots, k: int):
     return _lattice_and_shell(gen, SUPPORT_RADIUS, rows, slots.memos[k])
 
 
-def _codebooks(raw: np.ndarray, slots: _Slots, sel) -> list:
-    """_codebook of each slot k of sel, whose raw matrix is the matching
-    row of raw, or the geometry error its normalization raised."""
+def _codebooks(raw: np.ndarray, group: _Slots) -> list:
+    """_codebook of each slot k of group, whose raw matrix is raw[k], or
+    the geometry error its normalization raised."""
     out = []
-    for i, k in enumerate(sel):
+    for k in range(len(group.seeds)):
         try:
-            out.append(_codebook(raw[i], slots, k))
+            out.append(_codebook(raw[k], group, k))
         except (GeometryError, ResourceLimitError) as exc:
             out.append(exc)
     return out
@@ -580,7 +580,7 @@ def _measure(slots: _Slots, theta: np.ndarray):
     step, over every block.  A slot whose geometry fails measures inf and
     holds its error in place of the codebook."""
     raw, _ = _forward_cached(theta, slots.blocks.shape[-1])
-    books = _codebooks(raw, slots, range(theta.shape[0]))
+    books = _codebooks(raw, slots)
     lats = [book[0] if isinstance(book, tuple) else book for book in books]
     good = [k for k, lat in enumerate(lats) if isinstance(lat, TruncatedLattice)]
     mse = np.full(len(lats), np.inf)
@@ -623,53 +623,29 @@ def _lattice_and_shell(
     return lat, np.compress(lead > 0, band, axis=0)
 
 
-def _budget_shell(gen: np.ndarray, gamma: float) -> np.ndarray:
-    """The budget shell of a normalized generator (see _lattice_and_shell)."""
-    return _lattice_and_shell(gen, gamma)[1]
-
-
-def _measured_mse_grad(
-    theta: np.ndarray,
-    lattice_dim: int,
-    blocks: np.ndarray,
-    batch_ids: np.ndarray,
-    gen: np.ndarray,
-    lat,
-    cfg,
-    shell=None,
-    fwd=None,
-):
-    """The batch's share of _measured_mse and its exact gradient over theta.
+def _measured_mse_grad(group: _Slots, theta, batch_ids, lats, shells, fwd):
+    """Each slot's batch share of _measured_mse and its exact gradient over
+    its weights theta (U, P): slot k of the group measures its blocks
+    batch_ids[k] under its codebook lats[k] and budget shell shells[k] (see
+    _lattice_and_shell), with fwd theta's (raw, cache).
 
     Everything _measured_mse measures is a closed form of the generator once
     its discrete choices are frozen: the assignments, the dither folds
     (d = gen @ w), the normalization scale c = gamma / ||raw l*|| with l*
     the first lattice point left out of the codeword budget, and zeta as
-    the root pinned by one probe block (see _pinned_scale).  gen must be
-    the normalized generator of theta, and lat and shell (derived when not
-    given) what _lattice_and_shell returns for it.
+    the root pinned by one probe block (see _pinned_scale).
 
     When several norms tie at ||raw l*|| (at rate 3 the hexagonal warm
     start keeps 61 codewords and leaves out twelve points of one norm), any
     change of shape that splits the tie moves c by a one-sided amount the
     formula cannot see, so the gradient is projected onto the directions
     that keep the tied norms equal.
-
-    A lockstep group passes theta (U, P) with batch_ids (U, b) and gen
-    (U, L, L), lists of codebooks and shells, and its _Slots as cfg (whose
-    blocks are the ones measured); losses and gradients then come back per
-    slot.  fwd is theta's (raw, cache) when the caller has run the forward
-    pass.
     """
-    one = theta.ndim == 1
-    if one:
-        blocks = np.asarray(blocks, dtype=np.float64)
-        shell = [_budget_shell(gen, SUPPORT_RADIUS) if shell is None else shell]
-        theta, batch_ids, gen, lat = theta[None], np.asarray(batch_ids)[None], gen[None], [lat]
-        cfg = _Slots(cfg, [cfg.seed], blocks[None])
-    raw, cache = _forward_cached(theta, lattice_dim) if fwd is None else fwd
-    zeta, dzeta = _scale_and_slope(cfg.fit, cfg.probe, lat, cfg.target)
-    e, a, ag = _measured_rows(cfg, batch_ids, lat, zeta)
+    lattice_dim = group.blocks.shape[-1]
+    raw, cache = fwd
+    gen = np.stack([lat.gen for lat in lats])
+    zeta, dzeta = _scale_and_slope(group.fit, group.probe, lats, group.target)
+    e, a, ag = _measured_rows(group, batch_ids, lats, zeta)
     loss = np.einsum("uij,uij->u", e, e) / _MEASURE_REPS
     zs = [float(z) for z in zeta]
     along = np.einsum("uij,uij->u", e, ag)
@@ -681,17 +657,17 @@ def _measured_mse_grad(
     # d c / d raw = -c^2 p l*^T / ||p||^2.
     c = np.einsum("uij,uij->u", gen, raw) / np.einsum("uij,uij->u", raw, raw)
     draw = c[:, None, None] * dgen
-    pinned = [k for k, sh in enumerate(shell) if sh.shape[0]]
+    pinned = [k for k, sh in enumerate(shells) if sh.shape[0]]
     if pinned:
-        first = np.stack([shell[k][0] for k in pinned])
+        first = np.stack([shells[k][0] for k in pinned])
         p = (gen[pinned] @ first[..., None])[..., 0]
         pp = (p[:, None, :] @ p[:, :, None])[:, 0, 0]
         along = np.einsum("uij,uij->u", dgen[pinned], gen[pinned])
         coef = [float(c[k]) * float(s) / float(q) for k, s, q in zip(pinned, along, pp)]
         draw[pinned] -= np.array(coef)[:, None, None] * (p[:, :, None] * first[:, None, :])
     dtheta = _backward(theta, lattice_dim, cache, draw.reshape(theta.shape[0], -1))
-    _project_ties(theta, lattice_dim, raw, cache, shell, dtheta)
-    return (float(loss[0]), dtheta[0]) if one else (loss, dtheta)
+    _project_ties(theta, lattice_dim, raw, cache, shells, dtheta)
+    return loss, dtheta
 
 
 def _project_ties(theta, lattice_dim, raw, cache, shell, dtheta) -> None:
@@ -786,8 +762,9 @@ def _learn_group(
             sel = list(live)
             if not sel:
                 break
+            group = slots.take(sel)
             raw, (a1, a2) = _forward_cached(theta[sel], dim)
-            books = _codebooks(raw, slots, sel)
+            books = _codebooks(raw, group)
             ok = [i for i, book in enumerate(books) if isinstance(book, tuple)]
             for i, k in enumerate(sel):
                 if i not in ok:
@@ -802,12 +779,9 @@ def _learn_group(
             lats = [books[i][0] for i in ok]
             if cfg.loss_kind == "mse":
                 ids = np.stack([batches[k][b] for k in at])
-                gens = np.stack([lat.gen for lat in lats])
                 fwd = (raw[ok], (a1[ok], a2[ok]))
                 shells = [books[i][1] for i in ok]
-                _, dtheta = _measured_mse_grad(
-                    theta[at], dim, None, ids, gens, lats, slots.take(at), shells, fwd
-                )
+                _, dtheta = _measured_mse_grad(group.take(ok), theta[at], ids, lats, shells, fwd)
             else:
                 grads = []
                 for i, k, lat in zip(ok, at, lats):

@@ -62,8 +62,18 @@ def test_cli_rejects_empty_shard_and_writes_nothing(tmp_path):
         [sys.executable, "-m", "olala.cli", "run", *args, "--out", str(out)],
         capture_output=True, text=True, env=env,
     )
-    assert r.returncode == 1
-    assert r.stderr.startswith("error: U: client ")
+    assert r.returncode == 2
+    assert r.stderr.startswith("config error: U: client ")
+    assert list(out.iterdir()) == []
+
+
+def test_a_sweep_entry_that_finds_an_empty_shard_exits_as_a_config_error(tmp_path, capsys):
+    import olala.cli as cli
+
+    out = tmp_path / "sw"
+    args = [a for item in EMPTY_SHARD + ["quantizers=none", "rates=2"] for a in ("--set", item)]
+    assert cli.main(["sweep", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: U: client ")
     assert list(out.iterdir()) == []
 
 

@@ -10,6 +10,7 @@ from olala.lattice import (
     GEN_A2,
     GEN_D2,
     GEN_HEXAGONAL,
+    GEN_IDENTITY_2D,
     build_lattice,
     count_codewords_at_most,
     nearest_point,
@@ -50,6 +51,28 @@ def test_hexagonal_codebook_matches_brute_force():
     lat = build_lattice(GEN_HEXAGONAL, 1.0)
     assert lat.size == 7
     assert sorted(map(tuple, lat.index_set)) == brute_force_codebook(GEN_HEXAGONAL, 1.0, 3)
+
+
+@pytest.mark.parametrize(
+    "gen, size, norm",
+    [
+        (GEN_IDENTITY_2D, 4, 1.0),
+        (GEN_D2, 4, 1.0),
+        (GEN_HEXAGONAL, 6, 2.0 / np.sqrt(3.0)),
+        (GEN_A2, 6, 2.0 / np.sqrt(3.0)),
+    ],
+    ids=["identity", "d2", "hexagonal", "a2"],
+)
+def test_stock_generator_columns_span_the_named_lattice(gen, size, norm):
+    # The lattice of a generator's columns has the named lattice's first
+    # shell: its size, and its squared norm over the cell volume |det G|.
+    # GEN_A2's entries carry four digits, hence the tolerance.
+    ls = np.array(list(itertools.product(range(-4, 5), repeat=2)), dtype=float)
+    sq = np.einsum("ij,ij->i", ls @ gen.T, ls @ gen.T)
+    sq = np.sort(sq[sq > 0]) / abs(np.linalg.det(gen))
+    shell = sq[sq <= sq[0] * (1 + 1e-3)]
+    assert shell.size == size
+    assert shell[0] == pytest.approx(norm, rel=1e-3)
 
 
 def test_codebook_invariants():

@@ -12,11 +12,12 @@ from olala.lattice import GEN_HEXAGONAL, build_lattice, count_codewords_at_most,
 from olala.learning import (
     LearnerConfig,
     PriorNet,
-    _budget_shell,
     _forward_cached,
+    _lattice_and_shell,
     _measured_mse,
     _measured_mse_grad,
     _pinned_scale,
+    _Slots,
     codeword_budget,
     compute_loss,
     frozen_loss,
@@ -268,6 +269,16 @@ def test_theta_gradient_matches_frozen_finite_differences(kind):
         assert abs(fd - dtheta[k]) <= 1e-3 * scale_ref
 
 
+def _one_slot_mse_grad(theta, blocks, ids, lat, cfg):
+    """_measured_mse_grad for a group of one slot (seed cfg.seed) on blocks."""
+    group = _Slots(cfg, [cfg.seed], np.asarray(blocks, dtype=np.float64)[None])
+    shell = _lattice_and_shell(lat.gen, 1.0)[1]
+    fwd = _forward_cached(theta[None], 2)
+    ids = np.asarray(ids)[None]
+    loss, dtheta = _measured_mse_grad(group, theta[None], ids, [lat], [shell], fwd)
+    return float(loss[0]), dtheta[0]
+
+
 @pytest.mark.parametrize(
     "mode, warm_start, rate, target",
     [
@@ -295,11 +306,11 @@ def test_measured_mse_gradient_matches_finite_differences(mode, warm_start, rate
     raw, _ = _forward_cached(theta, 2)
     gen = normalize_generator(raw, rate)
     lat = build_lattice(gen, 1.0)
-    assert _budget_shell(gen, 1.0).shape[0] == 1  # no tie at the budget boundary
+    assert _lattice_and_shell(gen, 1.0)[1].shape[0] == 1  # no tie at the budget boundary
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         zeta, dzeta = _pinned_scale(blocks, lat, cfg)
-        loss, dtheta = _measured_mse_grad(theta, 2, blocks, np.arange(60), gen, lat, cfg)
+        loss, dtheta = _one_slot_mse_grad(theta, blocks, np.arange(60), lat, cfg)
         assert loss == pytest.approx(_measured_mse(theta, 2, blocks, cfg), rel=1e-12)
         if target == 0.0:
             assert zeta == pytest.approx(1e-9) and not dzeta.any()
@@ -334,10 +345,10 @@ def test_measured_mse_gradient_batches_sum_to_full():
     raw, _ = _forward_cached(theta, 2)
     gen = normalize_generator(raw, 3.0)
     lat = build_lattice(gen, 1.0)
-    full_loss, full_grad = _measured_mse_grad(theta, 2, blocks, np.arange(50), gen, lat, cfg)
+    full_loss, full_grad = _one_slot_mse_grad(theta, blocks, np.arange(50), lat, cfg)
     order = np.random.default_rng(5).permutation(50)
     parts = [
-        _measured_mse_grad(theta, 2, blocks, ids, gen, lat, cfg)
+        _one_slot_mse_grad(theta, blocks, ids, lat, cfg)
         for ids in np.array_split(order, 4)
     ]
     assert sum(p[0] for p in parts) == pytest.approx(full_loss, rel=1e-12)
@@ -356,9 +367,9 @@ def test_measured_mse_gradient_keeps_tied_shell_tied():
     raw, _ = _forward_cached(net.theta, 2)
     gen = normalize_generator(raw, 3.0)
     lat = build_lattice(gen, 1.0)
-    shell = _budget_shell(gen, 1.0)
+    shell = _lattice_and_shell(gen, 1.0)[1]
     assert shell.shape[0] == 6  # one of each +-l pair
-    _, dtheta = _measured_mse_grad(net.theta, 2, blocks, np.arange(80), gen, lat, cfg)
+    _, dtheta = _one_slot_mse_grad(net.theta, blocks, np.arange(80), lat, cfg)
     assert np.linalg.norm(dtheta) > 0
     eps = 1e-7 / np.linalg.norm(dtheta)
 

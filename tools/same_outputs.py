@@ -13,6 +13,13 @@ checks`` at master seeds 0-4.  The cases' rounds.csv, lattices.jsonl,
 model.bin and checks.json are compared byte for byte, one printed line per
 file.  The exit status is 0 when every file is equal on both sides, else
 1, after a last line naming the first file that is not.
+
+    python3 tools/same_outputs.py --parent HEAD --declared fixed_a2/model.bin ...
+
+A change that alters some outputs on purpose declares them: each declared
+path must then differ (a declared path that is equal, or missing on a
+side, fails), and every other path must still be equal.  Declared paths
+are marked on their lines.
 """
 
 from __future__ import annotations
@@ -66,10 +73,13 @@ def run_case(root: Path, case: str, out: Path) -> None:
     )
 
 
-def compare(parent: Path, change: Path, paths: list[str]) -> tuple[list[str], str | None]:
+def compare(
+    parent: Path, change: Path, paths: list[str], declared=frozenset()
+) -> tuple[list[str], str | None]:
     """One line per relative path, its verdict on parent/<path> against
-    change/<path> (equal, differs, or missing on a side), and the first
-    path that is not equal, or None."""
+    change/<path> (equal, differs, or missing on a side), marked for a path
+    of declared, and the first path whose verdict is not the one expected
+    of it (differs for a declared path, else equal), or None."""
     lines, first = [], None
     for path in paths:
         missing = [side for side, root in (("parent", parent), ("change", change))
@@ -80,8 +90,8 @@ def compare(parent: Path, change: Path, paths: list[str]) -> tuple[list[str], st
             verdict = "equal"
         else:
             verdict = "differs"
-        lines.append(f"{path}: {verdict}")
-        if verdict != "equal" and first is None:
+        lines.append(f"{path}: {verdict}" + (" (declared)" if path in declared else ""))
+        if verdict != ("differs" if path in declared else "equal") and first is None:
             first = path
     return lines, first
 
@@ -89,7 +99,13 @@ def compare(parent: Path, change: Path, paths: list[str]) -> tuple[list[str], st
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description="Byte-compare run outputs, parent against change.")
     ap.add_argument("--parent", required=True, help="git revision of the parent")
+    ap.add_argument("--declared", nargs="+", default=[], metavar="PATH",
+                    help="output paths the change alters on purpose; each must differ")
     args = ap.parse_args(argv)
+    declared = set(args.declared)
+    unknown = sorted(declared - set(outputs()))
+    if unknown:
+        ap.error(f"not an output path: {unknown[0]}")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         parent_tree(args.parent, tmp / "tree")
@@ -98,10 +114,11 @@ def main(argv: list[str] | None = None) -> int:
             for side, root in (("parent", tmp / "tree"), ("change", ROOT)):
                 run_case(root, case, outs[side] / case)
             print(f"ran {case}", file=sys.stderr, flush=True)
-        lines, first = compare(outs["parent"], outs["change"], outputs())
+        lines, first = compare(outs["parent"], outs["change"], outputs(), declared)
     print("\n".join(lines))
     if first is not None:
-        print(f"first file that differs: {first}")
+        what = "declared file that does not differ" if first in declared else "file that differs"
+        print(f"first {what}: {first}")
         return 1
     return 0
 
